@@ -37,7 +37,7 @@ from .core import (
     block_propagator,
     composite_simpson,
     cumulative_simpson,
-    rotation_about_z,
+    rk4_steps,
     symplectic_form,
 )
 
@@ -468,9 +468,10 @@ class CanonicalMap:
     p_nh: Callable | None = None
 
 
-def _rotate_pairs(z: np.ndarray, angle: float) -> np.ndarray:
-    """Rotate the planar position and momentum pairs by `angle`."""
-    c, s = math.cos(angle), math.sin(angle)
+def _rotate_pairs(z: np.ndarray, angle) -> np.ndarray:
+    """Rotate the planar position and momentum pairs by `angle`, a scalar
+    or an array of angles that broadcasts against z[..., 0]."""
+    c, s = np.cos(angle), np.sin(angle)
     out = np.array(z, dtype=float, copy=True)
     x1, x2 = z[..., 0], z[..., 2]
     p1, p2 = z[..., 1], z[..., 3]
@@ -631,28 +632,12 @@ def rk4_hamiltonian_flow(
     if return_path:
         path = np.empty((steps + 1,) + z.shape)
         path[0] = z
-    state = np.moveaxis(z, -1, 0).copy()
-    half_h = 0.5 * h
-    sixth_h = h / 6.0
-    time = 0.0
-    for i in range(steps):
-        k1 = velocity(state, time)
-        k2 = velocity(state + half_h * k1, time + half_h)
-        k3 = velocity(state + half_h * k2, time + half_h)
-        k4 = velocity(state + h * k3, time + h)
-        # state += (h/6) * (((k1 + 2 k2) + 2 k3) + k4), rounded in this order
-        k2 *= 2.0
-        k3 *= 2.0
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= sixth_h
-        state += k1
-        time = (i + 1) * h
+    state = np.moveaxis(z, -1, 0)
+    for i, (time, state) in enumerate(rk4_steps(velocity, state, h, steps), 1):
         if not np.isfinite(state).all():
             raise FlowBlowupError(time)
         if return_path:
-            path[i + 1] = state.transpose(to_state)
+            path[i] = state.transpose(to_state)
     if return_path:
         return np.linspace(0.0, t, steps + 1), path
     return np.moveaxis(state, 0, -1).copy()
@@ -719,17 +704,8 @@ def equivalence_report(
         h1_evaluator(field), z0, horizon, horizon / steps, return_path=True
     )
 
-    angles = field.frame_angle(times)
-    c, s = np.cos(angles), np.sin(angles)
-    rotated = np.empty_like(oracle)
-    rotated[:, 0] = c * oracle[:, 0] - s * oracle[:, 2]
-    rotated[:, 2] = s * oracle[:, 0] + c * oracle[:, 2]
-    rotated[:, 1] = c * oracle[:, 1] - s * oracle[:, 3]
-    rotated[:, 3] = s * oracle[:, 1] + c * oracle[:, 3]
-    rotated[:, 4:6] = oracle[:, 4:6]
-
     origin_path = _forced_path_on(times, params, drive)
-    mapped = rotated - origin_path
+    mapped = frame.forward(times, oracle) - origin_path
     reference = block_propagate_path(params, z0, times)
     max_deviation = float(np.max(np.abs(mapped - reference)))
 

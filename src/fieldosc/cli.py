@@ -34,10 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OscParams, QuadratureSpec
+from .core import OscParams, QuadratureSpec, cross_matrix, rk4_steps
 from .classical import (
     StaticField,
+    _rotate_pairs,
+    block_propagate_path,
     equivalence_report,
+    forced_path,
     moving_origin_map,
     rotating_frame_map,
     symplectic_defect,
@@ -132,14 +135,6 @@ class RunReport:
 # ----------------------------------------------------------------------
 
 
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
-
-
 def _parse_vec(n: int):
     def parse(text: str):
         parts = [p for p in text.replace(",", " ").split() if p]
@@ -168,62 +163,62 @@ _REQUIRED = object()
 
 _COMMON_SCHEMA = {
     "name": (str, None, None),
-    "seed": (_parse_int, 0, None),
+    "seed": (int, 0, None),
 }
 
 _SCHEMAS = {
     "classical-equivalence": {
-        "b3": (_parse_float, _REQUIRED, None),
+        "b3": (float, _REQUIRED, None),
         "e_field": (_parse_vec(3), (0.0, 0.0, 0.0), None),
         "z0": (_parse_vec(6), (0.1, 0.0, 0.2, 0.0, 0.0, 0.1), None),
-        "charge": (_parse_float, 1.0, None),
-        "mass": (_parse_float, 1.0, _positive("mass")),
-        "horizon": (_parse_float, 4.0, _positive("horizon")),
-        "dt": (_parse_float, 1e-3, _positive("dt")),
-        "deviation_tol": (_parse_float, 1e-6, _positive("deviation_tol")),
+        "charge": (float, 1.0, None),
+        "mass": (float, 1.0, _positive("mass")),
+        "horizon": (float, 4.0, _positive("horizon")),
+        "dt": (float, 1e-3, _positive("dt")),
+        "deviation_tol": (float, 1e-6, _positive("deviation_tol")),
     },
     "quantum-pipeline": {
-        "b3": (_parse_float, _REQUIRED, None),
+        "b3": (float, _REQUIRED, None),
         "e_field": (_parse_vec(3), (0.0, 0.0, 0.0), _planar_field),
-        "grid_n": (_parse_int, 128, _positive("grid_n")),
-        "grid_x": (_parse_float, 8.0, _positive("grid_x")),
-        "time": (_parse_float, 1.0, _positive("time")),
-        "dt": (_parse_float, 1e-3, _positive("dt")),
+        "grid_n": (int, 128, _positive("grid_n")),
+        "grid_x": (float, 8.0, _positive("grid_x")),
+        "time": (float, 1.0, _positive("time")),
+        "dt": (float, 1e-3, _positive("dt")),
         "center": (_parse_vec(2), (0.5, -0.3), None),
         "momentum": (_parse_vec(2), (0.3, 0.1), None),
-        "width": (_parse_float, 0.8, _positive("width")),
-        "hbar": (_parse_float, 1.0, _positive("hbar")),
-        "link_tol": (_parse_float, 1e-4, _positive("link_tol")),
+        "width": (float, 0.8, _positive("width")),
+        "hbar": (float, 1.0, _positive("hbar")),
+        "link_tol": (float, 1e-4, _positive("link_tol")),
     },
     "eigenstate-expansion": {
-        "theta": (_parse_float, 0.6, None),
-        "max_level": (_parse_int, 4, _positive("max_level")),
+        "theta": (float, 0.6, None),
+        "max_level": (int, 4, _positive("max_level")),
     },
     "hill-stability": {
-        "a_min": (_parse_float, 0.2, None),
-        "a_max": (_parse_float, 2.2, None),
-        "a_count": (_parse_int, 21, _positive("a_count")),
-        "q_min": (_parse_float, 0.0, None),
-        "q_max": (_parse_float, 0.4, None),
-        "q_count": (_parse_int, 5, _positive("q_count")),
-        "n_steps": (_parse_int, 2048, _positive("n_steps")),
+        "a_min": (float, 0.2, None),
+        "a_max": (float, 2.2, None),
+        "a_count": (int, 21, _positive("a_count")),
+        "q_min": (float, 0.0, None),
+        "q_max": (float, 0.4, None),
+        "q_count": (int, 5, _positive("q_count")),
+        "n_steps": (int, 2048, _positive("n_steps")),
     },
     "case1": {
-        "b3_const": (_parse_float, 1.0, None),
-        "b3_cos_amp": (_parse_float, 0.5, None),
-        "b3_cos_freq": (_parse_float, 1.0, None),
-        "charge": (_parse_float, 1.0, None),
-        "mass": (_parse_float, 1.0, _positive("mass")),
-        "time": (_parse_float, 3.0, _positive("time")),
-        "ode_steps": (_parse_int, 20000, _positive("ode_steps")),
+        "b3_const": (float, 1.0, None),
+        "b3_cos_amp": (float, 0.5, None),
+        "b3_cos_freq": (float, 1.0, None),
+        "charge": (float, 1.0, None),
+        "mass": (float, 1.0, _positive("mass")),
+        "time": (float, 3.0, _positive("time")),
+        "ode_steps": (int, 20000, _positive("ode_steps")),
     },
     "case2": {
-        "b1": (_parse_float, 0.7, None),
-        "b3": (_parse_float, 1.1, None),
-        "alpha": (_parse_float, 0.9, None),
-        "charge": (_parse_float, 1.0, None),
-        "mass": (_parse_float, 1.0, _positive("mass")),
-        "samples": (_parse_int, 16, _positive("samples")),
+        "b1": (float, 0.7, None),
+        "b3": (float, 1.1, None),
+        "alpha": (float, 0.9, None),
+        "charge": (float, 1.0, None),
+        "mass": (float, 1.0, _positive("mass")),
+        "samples": (int, 16, _positive("samples")),
     },
 }
 
@@ -339,22 +334,17 @@ def _run_classical(sc: Scenario, out: Path | None, scale: float):
         checks.append(CheckResult("phase-vanishes-without-e", report.phase_max_abs, scale * 1e-12))
     artifacts = []
     if out is not None:
-        from .classical import block_propagate_path, forced_path, _rotate_pairs
-
         params = field.osc_params
         steps = 1000
         times = np.linspace(0.0, p["horizon"], steps + 1)
         closed = block_propagate_path(params, np.array(p["z0"]), times)
         in_frame = closed + forced_path(params, field.rotated_drive(), times)
-        rows = []
-        for t, z in zip(times, in_frame):
-            z1 = _rotate_pairs(z, -field.frame_angle(t))
-            rows.append((t, *z1))
+        lab = _rotate_pairs(in_frame, -field.frame_angle(times))
         traj_path = out / f"{sc.name}_trajectory.csv"
         _write_csv(
             traj_path,
             ["t", "q1", "p1", "q2", "p2", "q3", "p3"],
-            rows,
+            ((t, *z) for t, z in zip(times, lab)),
         )
         phase_path = out / f"{sc.name}_phase.csv"
         _write_csv(
@@ -460,14 +450,12 @@ def _run_hill(sc: Scenario, out: Path | None, scale: float):
     det_defect = 0.0
     const_defect = 0.0
     for row in rows:
-        rep = None
         if row.param2 == 0.0 and row.param1 > 0:
-            rep = hill_monodromy(mathieu_hill(row.param1, 0.0), dt=math.pi / p["n_steps"])
             const_defect = max(
                 const_defect,
-                abs(rep.trace - 2.0 * math.cos(math.sqrt(row.param1) * math.pi)),
+                abs(row.trace - 2.0 * math.cos(math.sqrt(row.param1) * math.pi)),
             )
-            det_defect = max(det_defect, abs(rep.det - 1.0))
+            det_defect = max(det_defect, abs(row.det - 1.0))
     rep = hill_monodromy(mathieu_hill(1.2, 0.25), dt=math.pi / p["n_steps"])
     det_defect = max(det_defect, abs(rep.det - 1.0))
     checks = [
@@ -496,21 +484,12 @@ def _run_case1(sc: Scenario, out: Path | None, scale: float):
     field = FixedAxisField(b3=b3, charge=p["charge"], mass=p["mass"])
     T = p["time"]
     n = p["ode_steps"]
-    h = T / n
-    from .core import cross_matrix
 
-    r = np.eye(3)
-    for i in range(n):
-        t = i * h
+    def rhs(r, t):
+        return cross_matrix((0.0, 0.0, float(field.rate(t)))) @ r
 
-        def gen(tt):
-            return cross_matrix((0.0, 0.0, float(field.rate(tt))))
-
-        k1 = gen(t) @ r
-        k2 = gen(t + 0.5 * h) @ (r + 0.5 * h * k1)
-        k3 = gen(t + 0.5 * h) @ (r + 0.5 * h * k2)
-        k4 = gen(t + h) @ (r + h * k3)
-        r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for _, r in rk4_steps(rhs, np.eye(3), T / n, n):
+        pass
     closed = accumulated_rotation(field, T)
     ortho = float(np.max(np.abs(closed.T @ closed - np.eye(3))))
     checks = [

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,6 +30,7 @@ __all__ = [
     "symplectic_form",
     "composite_simpson",
     "cumulative_simpson",
+    "rk4_steps",
 ]
 
 
@@ -199,3 +201,34 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
     half = (5.0 * values[0:-2:2] + 8.0 * values[1:-1:2] - values[2::2]) * (dx / 12.0)
     out[1::2] = out[0:-2:2] + half
     return out
+
+
+def rk4_steps(
+    rhs: Callable, y0, h: float, steps: int
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Classic fixed-step RK4 for dy/dt = rhs(y, t), yielding (t, y) after
+    each of `steps` steps of size h.
+
+    Stage times are i*h, i*h + h/2 (twice) and i*h + h; the step time is
+    (i+1)*h.  y is one C-order float copy of y0, updated in place by
+    y += (h/6) * (((k1 + 2 k2) + 2 k3) + k4), rounded in that order, so a
+    caller that keeps a step must copy it.  `rhs` must return a fresh
+    array of y's shape, which the update overwrites.
+    """
+    y = np.array(y0, dtype=float, order="C")
+    half_h = 0.5 * h
+    sixth_h = h / 6.0
+    for i in range(steps):
+        t = i * h
+        k1 = rhs(y, t)
+        k2 = rhs(y + half_h * k1, t + half_h)
+        k3 = rhs(y + half_h * k2, t + half_h)
+        k4 = rhs(y + h * k3, t + h)
+        k2 *= 2.0
+        k3 *= 2.0
+        k1 += k2
+        k1 += k3
+        k1 += k4
+        k1 *= sixth_h
+        y += k1
+        yield (i + 1) * h, y

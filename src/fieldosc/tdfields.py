@@ -12,13 +12,14 @@ Hill system handed to the monodromy machinery below.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QuadratureSpec, composite_simpson, cross_matrix, rotation_about_z
+from .core import QuadratureSpec, composite_simpson, cross_matrix, rk4_steps, rotation_about_z
 from .classical import CanonicalMap, _rotate_pairs
 
 __all__ = [
@@ -45,11 +46,12 @@ __all__ = [
 
 
 def _eval_time_function(fn: Callable, t) -> np.ndarray:
-    """Evaluate a scalar function of time on scalars or arrays."""
+    """Evaluate a scalar function of time on scalars or arrays; `fn` must
+    broadcast, returning one value per time."""
     t = np.asarray(t, dtype=float)
     out = np.asarray(fn(t), dtype=float)
     if out.shape != t.shape:
-        out = np.vectorize(fn, otypes=[float])(t)
+        raise ValueError(f"time function gave shape {out.shape} for times of shape {t.shape}")
     return out
 
 
@@ -58,7 +60,6 @@ class FixedAxisField:
     """Magnetic field of fixed direction z_hat with magnitude b3(t)."""
 
     b3: Callable
-    e0: Callable | None = None
     charge: float = 1.0
     mass: float = 1.0
 
@@ -314,7 +315,6 @@ class HillSystem:
 
     omega_sq: Callable
     period: float
-    drive: Callable | None = None
 
     def __post_init__(self):
         if not (self.period > 0):
@@ -377,52 +377,25 @@ def _monodromy_matrices(
     `omega_sq_values(t)` may return a scalar or a batch (B,); the result
     has shape (..., 2, 2) accordingly.  Runs vectorized over the batch.
     """
-    h = period / n_steps
-    w2_0 = np.asarray(omega_sq_values(0.0), dtype=float)
-    shape = w2_0.shape
-    y11 = np.ones(shape)
-    y12 = np.zeros(shape)
-    y21 = np.zeros(shape)
-    y22 = np.ones(shape)
+    shape = np.asarray(omega_sq_values(0.0), dtype=float).shape
+    # the stages come at t, t + h/2, t + h/2, t + h: k3 reuses k2's w2
+    fresh = itertools.cycle((True, True, False, True))
+    neg_w2 = [None]
 
-    def rhs(w2, a, b, c, d):
-        # derivative of [[a, b], [c, d]] under [[0, 1], [-w2, 0]]
-        return c, d, -w2 * a, -w2 * b
+    def rhs(y, t):
+        # derivative of the flattened [[a, b], [c, d]] under [[0, 1], [-w2, 0]]
+        if next(fresh):
+            neg_w2[0] = -np.asarray(omega_sq_values(t), dtype=float)
+        out = np.empty_like(y)
+        out[:2] = y[2:]
+        np.multiply(neg_w2[0], y[:2], out=out[2:])
+        return out
 
-    for i in range(n_steps):
-        t = i * h
-        w2_a = np.asarray(omega_sq_values(t), dtype=float)
-        w2_b = np.asarray(omega_sq_values(t + 0.5 * h), dtype=float)
-        w2_c = np.asarray(omega_sq_values(t + h), dtype=float)
-        k1 = rhs(w2_a, y11, y12, y21, y22)
-        k2 = rhs(
-            w2_b,
-            y11 + 0.5 * h * k1[0],
-            y12 + 0.5 * h * k1[1],
-            y21 + 0.5 * h * k1[2],
-            y22 + 0.5 * h * k1[3],
-        )
-        k3 = rhs(
-            w2_b,
-            y11 + 0.5 * h * k2[0],
-            y12 + 0.5 * h * k2[1],
-            y21 + 0.5 * h * k2[2],
-            y22 + 0.5 * h * k2[3],
-        )
-        k4 = rhs(
-            w2_c,
-            y11 + h * k3[0],
-            y12 + h * k3[1],
-            y21 + h * k3[2],
-            y22 + h * k3[3],
-        )
-        y11 = y11 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        y12 = y12 + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        y21 = y21 + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        y22 = y22 + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-    return np.stack(
-        [np.stack([y11, y12], axis=-1), np.stack([y21, y22], axis=-1)], axis=-2
-    )
+    y = np.zeros((4,) + shape)
+    y[0] = y[3] = 1.0
+    for _, y in rk4_steps(rhs, y, period / n_steps, n_steps):
+        pass
+    return np.moveaxis(y, 0, -1).reshape(shape + (2, 2))
 
 
 def _classify(trace: float, marginal_tol: float) -> str:
@@ -481,6 +454,7 @@ class StabilityRow(NamedTuple):
     param2: float
     trace: float
     classification: str
+    det: float
 
 
 def stability_map(
@@ -506,10 +480,13 @@ def stability_map(
         period,
         n_steps,
     )
-    traces = matrices[..., 0, 0] + matrices[..., 1, 1]
+    # the same trace and determinant as hill_monodromy gives one point
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    traces = np.where(finite, matrices[..., 0, 0] + matrices[..., 1, 1], math.inf)
+    dets = matrices[..., 0, 0] * matrices[..., 1, 1] - matrices[..., 0, 1] * matrices[..., 1, 0]
     return [
-        StabilityRow(float(a), float(b), float(tr), _classify(float(tr), marginal_tol))
-        for a, b, tr in zip(p1f, p2f, traces)
+        StabilityRow(float(a), float(b), float(tr), _classify(float(tr), marginal_tol), float(d))
+        for a, b, tr, d in zip(p1f, p2f, traces, np.where(finite, dets, math.nan))
     ]
 
 

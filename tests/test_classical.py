@@ -282,6 +282,16 @@ class TestRotatingFrameMap:
             expected = 1.5 * (rotation_about_z(field.frame_angle(t)) @ np.array(field.e))
             assert np.allclose(drive(t), expected, atol=1e-14)
 
+    def test_time_array_matches_scalar_calls(self):
+        field = StaticField(b3=-2.3, e=(0.1, 0.2, -0.1), charge=0.7)
+        frame = rotating_frame_map(field)
+        times = np.linspace(0.0, 4.0, 41)
+        path = np.random.default_rng(3).normal(size=(41, 6))
+        rows = np.array([frame.forward(t, z) for t, z in zip(times, path)])
+        assert np.array_equal(frame.forward(times, path), rows)
+        rows = np.array([frame.inverse(t, z) for t, z in zip(times, path)])
+        assert np.array_equal(frame.inverse(times, path), rows)
+
     @given(t=st.floats(0.0, 5.0), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_symplectic(self, t, seed):

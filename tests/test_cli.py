@@ -12,7 +12,11 @@ from fieldosc.cli import (
     run,
     wavefunction_rows,
 )
+from fieldosc.core import cross_matrix, rk4_steps
 from fieldosc.quantum import Grid, gaussian_wavepacket
+from fieldosc.tdfields import FixedAxisField, accumulated_rotation
+
+from test_tdfields import integrate_rotation_ode
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -119,6 +123,22 @@ class TestRunners:
             path = write(tmp_path, "one.cfg", text)
             report = run(parse_scenario(path), check_only=True)
             assert report.passed, [c for c in report.checks if not c.passed]
+
+    def test_case1_ode_defect_equals_reference_loop(self, tmp_path):
+        path = write(tmp_path, "c1.cfg", "mode = case1\ntime = 2.0\node_steps = 3000\n")
+        report = run(parse_scenario(path), check_only=True)
+        defect = {c.name: c.defect for c in report.checks}["closed-form-vs-ode"]
+        field = FixedAxisField(b3=lambda t: 1.0 + 0.5 * np.cos(1.0 * np.asarray(t, dtype=float)))
+        ode = integrate_rotation_ode(field, 2.0, 3000)
+        assert defect == float(np.max(np.abs(accumulated_rotation(field, 2.0) - ode)))
+        # the defect is a multiple of ulp(1), so also compare the RK4 matrix
+        # of case1's right-hand side run through rk4_steps
+        def rhs(r, t):
+            return cross_matrix((0.0, 0.0, float(field.rate(t)))) @ r
+
+        for _, r in rk4_steps(rhs, np.eye(3), 2.0 / 3000, 3000):
+            pass
+        assert np.array_equal(r, ode)
 
     def test_hill_mode_artifact(self, tmp_path):
         path = write(

@@ -30,6 +30,7 @@ from fieldosc.tdfields import (
     rotating_field_generator,
     stability_map,
 )
+from fieldosc.tdfields import _monodromy_matrices
 
 
 def integrate_rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
@@ -48,6 +49,58 @@ def integrate_rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.nd
         k4 = gen(s + h) @ (r + h * k3)
         r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return r
+
+
+def reference_monodromy(omega_sq_values, period: float, n_steps: int) -> np.ndarray:
+    """The monodromy RK4 in its first form, the four matrix entries
+    unrolled as separate arrays, kept as the bit-for-bit reference of
+    the package's."""
+    h = period / n_steps
+    w2_0 = np.asarray(omega_sq_values(0.0), dtype=float)
+    shape = w2_0.shape
+    y11 = np.ones(shape)
+    y12 = np.zeros(shape)
+    y21 = np.zeros(shape)
+    y22 = np.ones(shape)
+
+    def rhs(w2, a, b, c, d):
+        # derivative of [[a, b], [c, d]] under [[0, 1], [-w2, 0]]
+        return c, d, -w2 * a, -w2 * b
+
+    for i in range(n_steps):
+        t = i * h
+        w2_a = np.asarray(omega_sq_values(t), dtype=float)
+        w2_b = np.asarray(omega_sq_values(t + 0.5 * h), dtype=float)
+        w2_c = np.asarray(omega_sq_values(t + h), dtype=float)
+        k1 = rhs(w2_a, y11, y12, y21, y22)
+        k2 = rhs(
+            w2_b,
+            y11 + 0.5 * h * k1[0],
+            y12 + 0.5 * h * k1[1],
+            y21 + 0.5 * h * k1[2],
+            y22 + 0.5 * h * k1[3],
+        )
+        k3 = rhs(
+            w2_b,
+            y11 + 0.5 * h * k2[0],
+            y12 + 0.5 * h * k2[1],
+            y21 + 0.5 * h * k2[2],
+            y22 + 0.5 * h * k2[3],
+        )
+        k4 = rhs(
+            w2_c,
+            y11 + h * k3[0],
+            y12 + h * k3[1],
+            y21 + h * k3[2],
+            y22 + h * k3[3],
+        )
+        y11 = y11 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        y12 = y12 + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        y21 = y21 + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        y22 = y22 + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    return np.stack(
+        [np.stack([y11, y12], axis=-1), np.stack([y21, y22], axis=-1)], axis=-2
+    )
 
 
 def monodromy_oracle(sys: HillSystem) -> np.ndarray:
@@ -96,6 +149,11 @@ class TestFixedAxisRotation:
             t = frac * period
             oracle = integrate_rotation_ode(field, t, int(20000 * max(frac, 1)))
             assert np.max(np.abs(accumulated_rotation(field, t) - oracle)) <= 1e-6
+
+    def test_time_function_must_broadcast(self):
+        field = FixedAxisField(b3=lambda t: 2.0)
+        with pytest.raises(ValueError, match="shape"):
+            field.rate(np.linspace(0.0, 1.0, 5))
 
     def test_reduced_hill_frequency_is_half_rate(self):
         field = FixedAxisField(b3=lambda t: 2.0 + np.sin(t), charge=1.0, mass=2.0)
@@ -301,6 +359,32 @@ class TestMonodromy:
         rep = hill_monodromy(mathieu_hill(a, q), dt=math.pi / 1024)
         assert abs(rep.det - 1.0) <= 1e-8
 
+    def test_bit_identical_to_reference_loop(self):
+        a, q = np.meshgrid(np.linspace(0.2, 2.2, 21), np.linspace(0.0, 0.4, 9), indexing="ij")
+        a, q = a.ravel(), q.ravel()
+
+        def family(t):
+            return a + 2.0 * q * np.cos(2.0 * t)
+
+        batch = _monodromy_matrices(family, math.pi, 1024)
+        assert batch.shape == (189, 2, 2)
+        assert np.array_equal(batch, reference_monodromy(family, math.pi, 1024))
+        sys = mathieu_hill(1.2, 0.25)
+        rep = hill_monodromy(sys, dt=math.pi / 1024)
+        assert np.array_equal(rep.matrix, reference_monodromy(sys.omega_sq_values, math.pi, 1024))
+
+    def test_runaway_non_finite_pattern_matches_reference(self):
+        def runaway(t):
+            return np.full_like(np.asarray(t, float), -1e4)
+
+        # growth e^(100 t) overflows within four periods of pi
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = _monodromy_matrices(runaway, 4.0 * math.pi, 4096)
+            ref = reference_monodromy(runaway, 4.0 * math.pi, 4096)
+        assert not np.isfinite(ref).all()
+        assert np.array_equal(np.isfinite(new), np.isfinite(ref))
+        assert np.array_equal(new, ref, equal_nan=True)
+
     def test_against_brute_force_oracle(self):
         sys = mathieu_hill(0.9, 0.2)
         rep = hill_monodromy(sys)
@@ -353,6 +437,25 @@ class TestMathieuStability:
         by_a = {r.param1: r.classification for r in rows}
         assert by_a[0.5] == "stable" and by_a[1.5] == "stable"
         assert by_a[1.0] == "marginal" and by_a[4.0] == "marginal"
+
+    def test_stability_map_q_zero_rows_equal_scalar_runs(self):
+        # a = 1e10 overflows at this step size: trace inf and det nan, as
+        # hill_monodromy reports a non-finite run
+        n = 512
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = stability_map(
+                lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t),
+                math.pi,
+                np.append(np.linspace(0.2, 2.2, 6), 1e10),
+                [0.0, 0.25],
+                n_steps=n,
+            )
+            zero = [r for r in rows if r.param2 == 0.0]
+            reps = [hill_monodromy(mathieu_hill(r.param1, 0.0), dt=math.pi / n) for r in zero]
+        assert len(zero) == 7 and zero[-1].trace == math.inf
+        for row, rep in zip(zero, reps):
+            assert row.trace == rep.trace
+            assert row.det == rep.det or math.isnan(row.det) and math.isnan(rep.det)
 
     def test_stability_map_grid_shape_and_order(self):
         rows = stability_map(
