@@ -12,6 +12,7 @@ returned as fresh ndarrays, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -32,6 +33,8 @@ __all__ = [
     "cumulative_simpson",
     "rk4_steps",
 ]
+
+_TINY = sys.float_info.min  # smallest normal double
 
 
 @dataclass(frozen=True)
@@ -114,14 +117,21 @@ def propagator_2x2(params: OscParams, t: float) -> np.ndarray:
 
     [[cos(wt), sin(wt)/(m w)], [-m w sin(wt), cos(wt)]]; for omega == 0 the
     analytic free block is returned instead of evaluating sin(wt)/w.
+    Where m w or w t is subnormal, a quotient of those quantised values
+    loses its precision (w = 5e-324 gives sin(2.5 w)/w = 2), so the upper
+    entry is taken as (t/m) * (sin(wt)/(wt)) instead.
     Determinant is exactly cos^2 + sin^2 = 1 up to roundoff (symplectic).
     """
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     m, w = params.mass, params.omega
-    if m * w == 0.0:  # covers w = 0 and subnormal-underflow products
+    if w == 0.0:
         return free_block_2x2(m, t)
-    c, s = math.cos(w * t), math.sin(w * t)
+    x = w * t
+    c, s = math.cos(x), math.sin(x)
+    if m * w < _TINY or abs(x) < _TINY:
+        sinc = s / x if x != 0.0 else 1.0
+        return np.array([[c, (t / m) * sinc], [-m * w * s, c]])
     return np.array([[c, s / (m * w)], [-m * w * s, c]])
 
 

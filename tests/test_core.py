@@ -110,6 +110,16 @@ class TestPropagator2x2:
         u = propagator_2x2(OscParams(m, 1e-6), t)
         assert np.max(np.abs(u - free_block_2x2(m, t))) <= 1e-5
 
+    @pytest.mark.parametrize("m, w", [(1.0, 5e-324), (1.0, 1e-310), (1e-10, 1e-300)])
+    def test_subnormal_products_keep_free_limit(self, m, w):
+        # w t (or m w) is subnormal: sin(w t)/(m w) of the quantised values
+        # read 2.0 instead of 2.5 for w = 5e-324, t = 2.5
+        t = 2.5
+        u = propagator_2x2(OscParams(m, w), t)
+        assert abs(u[0, 1] - t / m) <= 1e-15 * (t / m)
+        assert u[0, 0] == u[1, 1] == 1.0
+        assert abs(u[1, 0]) <= 1e-290
+
     def test_zero_frequency_is_free_block(self):
         assert np.array_equal(
             propagator_2x2(OscParams(2.0, 0.0), 3.0), free_block_2x2(2.0, 3.0)
