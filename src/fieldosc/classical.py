@@ -32,10 +32,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    _TINY,
     OscParams,
     QuadratureSpec,
     block_propagator,
-    composite_simpson,
     cumulative_simpson,
     rk4_steps,
     symplectic_form,
@@ -56,7 +56,6 @@ __all__ = [
     "h3_evaluator",
     "solve_driven",
     "forced_path",
-    "action_phase_path",
     "block_propagate_path",
     "rotating_frame_map",
     "moving_origin_map",
@@ -330,9 +329,21 @@ class DrivenSolution:
     forced: np.ndarray
 
 
-def _uniform_times(t: float, quad: QuadratureSpec) -> np.ndarray:
-    n = quad.panels(t)
-    return np.linspace(0.0, t, n + 1)
+def _sin_over_mw(params: OscParams, times, s, factor=1.0) -> np.ndarray:
+    """sin(w t) * factor / (m w) at every time, given s = sin(w t): the
+    upper propagator entry times `factor`.  Where m w or a nonzero w t is
+    subnormal, that quotient of quantised values loses its precision, so
+    there it is (t / m) * (sin(wt) / (wt)) * factor, as in propagator_2x2
+    (at w t = 0 both forms give 0 * factor)."""
+    m, w = params.mass, params.omega
+    x = w * times
+    out = s * factor / (m * w)
+    ax = np.abs(x)
+    guard = ((ax < _TINY) & (ax > 0.0)) | (m * w < _TINY)
+    if guard.any():
+        sinc = np.divide(s, x, out=np.ones_like(x), where=x != 0.0)
+        out[guard] = ((times / m) * sinc * factor)[guard]
+    return out
 
 
 def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.ndarray:
@@ -349,11 +360,11 @@ def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.nd
         kx = k[:, axis]
         if axis < 2 and m * w > 0.0:
             c, s = np.cos(w * times), np.sin(w * times)
-            v_q = -s * kx / (m * w)
+            v_q = _sin_over_mw(params, times, s, -kx)
             v_p = c * kx
             c1 = cumulative_simpson(v_q, dt)
             c2 = cumulative_simpson(v_p, dt)
-            out[:, 2 * axis] = c * c1 + (s / (m * w)) * c2
+            out[:, 2 * axis] = c * c1 + _sin_over_mw(params, times, s) * c2
             out[:, 2 * axis + 1] = -m * w * s * c1 + c * c2
         else:
             # omega -> 0 limit: kernel (t - s)/m for the position row
@@ -383,10 +394,12 @@ def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
     out = np.empty(times.shape + z0.shape)
     pad = (...,) + (None,) * (z0.ndim - 1)
     if m * w > 0.0:
-        c, s = np.cos(w * times)[pad], np.sin(w * times)[pad]
+        s = np.sin(w * times)
+        upper = _sin_over_mw(params, times, s)[pad]
+        c, s = np.cos(w * times)[pad], s[pad]
         for axis in (0, 1):
             q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
-            out[..., 2 * axis] = c * q + (s / (m * w)) * p
+            out[..., 2 * axis] = c * q + upper * p
             out[..., 2 * axis + 1] = -m * w * s * q + c * p
     else:
         tgrid = times[pad]
@@ -418,19 +431,18 @@ def solve_driven(
     if z0.shape[-1] != 6:
         raise ValueError("solve_driven needs 6-component states")
     z_h = block_propagator(params, t) @ z0 if z0.ndim == 1 else z0 @ block_propagator(params, t).T
-    if t == 0.0:
-        z_nh = np.zeros(6)
-    else:
-        times = _uniform_times(t, quad)
-        z_nh = _forced_path_on(times, params, drive)[-1]
+    z_nh = np.zeros(6)
+    if t != 0.0:
+        z_nh = _forced_path_on(np.linspace(0.0, t, quad.panels(t) + 1), params, drive)[-1]
     return DrivenSolution(state=z_h + z_nh, homogeneous=z_h, forced=z_nh)
 
 
-def action_phase_path(params: OscParams, drive: Drive, times: np.ndarray) -> np.ndarray:
-    """Action accumulated along the forced trajectory at every grid time:
-    the time integral of the Lagrangian dual to the driven-oscillator
-    Hamiltonian, evaluated on the moving origin."""
-    times = np.asarray(times, dtype=float)
+def _forced_path_and_action(
+    times: np.ndarray, params: OscParams, drive: Drive
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forced trajectory (the moving origin) at every grid time, and the
+    action accumulated along it: the time integral of the Lagrangian dual
+    to the driven-oscillator Hamiltonian.  One forced-path pass gives both."""
     z_nh = _forced_path_on(times, params, drive)
     m, w = params.mass, params.omega
     q = z_nh[:, 0::2]
@@ -441,7 +453,7 @@ def action_phase_path(params: OscParams, drive: Drive, times: np.ndarray) -> np.
         - 0.5 * m * w * w * (q[:, 0] ** 2 + q[:, 1] ** 2)
         + np.sum(q * k, axis=-1)
     )
-    return cumulative_simpson(lagrangian, times[1] - times[0])
+    return z_nh, cumulative_simpson(lagrangian, times[1] - times[0])
 
 
 # ----------------------------------------------------------------------
@@ -462,7 +474,6 @@ class CanonicalMap:
     forward: Callable
     inverse: Callable
     phase_A: Callable
-    label: str = ""
     drive: Drive | None = None
     q_nh: Callable | None = None
     p_nh: Callable | None = None
@@ -500,7 +511,6 @@ def rotating_frame_map(field: StaticField) -> CanonicalMap:
         forward=forward,
         inverse=inverse,
         phase_A=lambda t: 0.0,
-        label="rotating-frame",
         drive=field.rotated_drive(),
     )
 
@@ -514,46 +524,28 @@ def moving_origin_map(
 
     forward: (Q, P) -> (Q - Q_nh(t), P - P_nh(t)); the generating phase is
     the action accumulated along the moving origin, so it solves
-    dA/dt = kinetic - potential evaluated on the forced trajectory.
+    dA/dt = kinetic - potential evaluated on the forced trajectory.  The
+    origin and the phase at the last time asked for come from one pass and
+    are kept; the origin is read-only, as callers share it.
     """
-    origin_cache: dict[float, np.ndarray] = {}
-    phase_cache: dict[float, float] = {}
 
-    def origin(t: float) -> np.ndarray:
-        t = float(t)
-        hit = origin_cache.get(t)
-        if hit is None:
-            if t == 0.0:
-                hit = np.zeros(6)
-            else:
-                hit = _forced_path_on(_uniform_times(t, quad), params, drive)[-1]
-            origin_cache[t] = hit
-        return hit
+    @functools.lru_cache(maxsize=1)
+    def at(t: float) -> tuple[np.ndarray, float]:
+        origin, phase = np.zeros(6), 0.0
+        if t != 0.0:
+            grid = np.linspace(0.0, t, quad.panels(t) + 1)
+            path, action = _forced_path_and_action(grid, params, drive)
+            origin, phase = path[-1].copy(), float(action[-1])
+        origin.flags.writeable = False
+        return origin, phase
 
-    def forward(t, z):
-        return _as_state(z) - origin(t)
-
-    def inverse(t, z):
-        return _as_state(z) + origin(t)
-
-    def phase(t: float) -> float:
-        t = float(t)
-        hit = phase_cache.get(t)
-        if hit is None:
-            if t == 0.0:
-                hit = 0.0
-            else:
-                hit = float(
-                    action_phase_path(params, drive, _uniform_times(t, quad))[-1]
-                )
-            phase_cache[t] = hit
-        return hit
+    def origin(t) -> np.ndarray:
+        return at(float(t))[0]
 
     return CanonicalMap(
-        forward=forward,
-        inverse=inverse,
-        phase_A=phase,
-        label="moving-origin",
+        forward=lambda t, z: _as_state(z) - origin(t),
+        inverse=lambda t, z: _as_state(z) + origin(t),
+        phase_A=lambda t: at(float(t))[1],
         drive=drive,
         q_nh=lambda t: origin(t)[0::2],
         p_nh=lambda t: origin(t)[1::2],
@@ -704,7 +696,7 @@ def equivalence_report(
         h1_evaluator(field), z0, horizon, horizon / steps, return_path=True
     )
 
-    origin_path = _forced_path_on(times, params, drive)
+    origin_path, phase_values = _forced_path_and_action(times, params, drive)
     mapped = frame.forward(times, oracle) - origin_path
     reference = block_propagate_path(params, z0, times)
     max_deviation = float(np.max(np.abs(mapped - reference)))
@@ -727,7 +719,6 @@ def equivalence_report(
         defect_rot = max(defect_rot, symplectic_defect(frame.forward, ts, zs))
         defect_mov = max(defect_mov, symplectic_defect(mover.forward, ts, zs))
 
-    phase_values = action_phase_path(params, drive, times)
     stride = max(1, steps // 32)
     return EquivalenceReport(
         max_deviation=max_deviation,

@@ -37,7 +37,6 @@ import numpy as np
 from .core import OscParams, QuadratureSpec, cross_matrix, rk4_steps
 from .classical import (
     StaticField,
-    _rotate_pairs,
     block_propagate_path,
     equivalence_report,
     forced_path,
@@ -135,12 +134,19 @@ class RunReport:
 # ----------------------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_vec(n: int):
     def parse(text: str):
         parts = [p for p in text.replace(",", " ").split() if p]
         if len(parts) != n:
             raise ValueError(f"expected {n} comma-separated numbers")
-        return tuple(float(p) for p in parts)
+        return tuple(_finite(p) for p in parts)
 
     return parse
 
@@ -168,56 +174,56 @@ _COMMON_SCHEMA = {
 
 _SCHEMAS = {
     "classical-equivalence": {
-        "b3": (float, _REQUIRED, None),
+        "b3": (_finite, _REQUIRED, None),
         "e_field": (_parse_vec(3), (0.0, 0.0, 0.0), None),
         "z0": (_parse_vec(6), (0.1, 0.0, 0.2, 0.0, 0.0, 0.1), None),
-        "charge": (float, 1.0, None),
-        "mass": (float, 1.0, _positive("mass")),
-        "horizon": (float, 4.0, _positive("horizon")),
-        "dt": (float, 1e-3, _positive("dt")),
-        "deviation_tol": (float, 1e-6, _positive("deviation_tol")),
+        "charge": (_finite, 1.0, None),
+        "mass": (_finite, 1.0, _positive("mass")),
+        "horizon": (_finite, 4.0, _positive("horizon")),
+        "dt": (_finite, 1e-3, _positive("dt")),
+        "deviation_tol": (_finite, 1e-6, _positive("deviation_tol")),
     },
     "quantum-pipeline": {
-        "b3": (float, _REQUIRED, None),
+        "b3": (_finite, _REQUIRED, None),
         "e_field": (_parse_vec(3), (0.0, 0.0, 0.0), _planar_field),
-        "grid_n": (int, 128, _positive("grid_n")),
-        "grid_x": (float, 8.0, _positive("grid_x")),
-        "time": (float, 1.0, _positive("time")),
-        "dt": (float, 1e-3, _positive("dt")),
+        "grid_n": (int, 128, lambda n: Grid(dims=2, n=n, half_width=1.0)),
+        "grid_x": (_finite, 8.0, _positive("grid_x")),
+        "time": (_finite, 1.0, _positive("time")),
+        "dt": (_finite, 1e-3, _positive("dt")),
         "center": (_parse_vec(2), (0.5, -0.3), None),
         "momentum": (_parse_vec(2), (0.3, 0.1), None),
-        "width": (float, 0.8, _positive("width")),
-        "hbar": (float, 1.0, _positive("hbar")),
-        "link_tol": (float, 1e-4, _positive("link_tol")),
+        "width": (_finite, 0.8, _positive("width")),
+        "hbar": (_finite, 1.0, _positive("hbar")),
+        "link_tol": (_finite, 1e-4, _positive("link_tol")),
     },
     "eigenstate-expansion": {
-        "theta": (float, 0.6, None),
+        "theta": (_finite, 0.6, None),
         "max_level": (int, 4, _positive("max_level")),
     },
     "hill-stability": {
-        "a_min": (float, 0.2, None),
-        "a_max": (float, 2.2, None),
+        "a_min": (_finite, 0.2, None),
+        "a_max": (_finite, 2.2, None),
         "a_count": (int, 21, _positive("a_count")),
-        "q_min": (float, 0.0, None),
-        "q_max": (float, 0.4, None),
+        "q_min": (_finite, 0.0, None),
+        "q_max": (_finite, 0.4, None),
         "q_count": (int, 5, _positive("q_count")),
         "n_steps": (int, 2048, _positive("n_steps")),
     },
     "case1": {
-        "b3_const": (float, 1.0, None),
-        "b3_cos_amp": (float, 0.5, None),
-        "b3_cos_freq": (float, 1.0, None),
-        "charge": (float, 1.0, None),
-        "mass": (float, 1.0, _positive("mass")),
-        "time": (float, 3.0, _positive("time")),
+        "b3_const": (_finite, 1.0, None),
+        "b3_cos_amp": (_finite, 0.5, None),
+        "b3_cos_freq": (_finite, 1.0, None),
+        "charge": (_finite, 1.0, None),
+        "mass": (_finite, 1.0, _positive("mass")),
+        "time": (_finite, 3.0, _positive("time")),
         "ode_steps": (int, 20000, _positive("ode_steps")),
     },
     "case2": {
-        "b1": (float, 0.7, None),
-        "b3": (float, 1.1, None),
-        "alpha": (float, 0.9, None),
-        "charge": (float, 1.0, None),
-        "mass": (float, 1.0, _positive("mass")),
+        "b1": (_finite, 0.7, None),
+        "b3": (_finite, 1.1, None),
+        "alpha": (_finite, 0.9, None),
+        "charge": (_finite, 1.0, None),
+        "mass": (_finite, 1.0, _positive("mass")),
         "samples": (int, 16, _positive("samples")),
     },
 }
@@ -316,9 +322,11 @@ def wavefunction_rows(wf: WaveFunction):
 # ----------------------------------------------------------------------
 # mode pipelines
 # ----------------------------------------------------------------------
+# A runner maps (scenario, tolerance scale) to (checks, {table: (header,
+# rows)}); rows are lazy, so a check-only run computes none; `run` writes.
 
 
-def _run_classical(sc: Scenario, out: Path | None, scale: float):
+def _run_classical(sc: Scenario, scale: float):
     p = sc.params
     field = StaticField(b3=p["b3"], e=p["e_field"], charge=p["charge"], mass=p["mass"])
     report = equivalence_report(
@@ -332,31 +340,23 @@ def _run_classical(sc: Scenario, out: Path | None, scale: float):
     ]
     if all(c == 0.0 for c in p["e_field"]):
         checks.append(CheckResult("phase-vanishes-without-e", report.phase_max_abs, scale * 1e-12))
-    artifacts = []
-    if out is not None:
+
+    def trajectory():
+        # the closed-form orbit, rotated back to the lab frame
         params = field.osc_params
-        steps = 1000
-        times = np.linspace(0.0, p["horizon"], steps + 1)
+        times = np.linspace(0.0, p["horizon"], 1001)
         closed = block_propagate_path(params, np.array(p["z0"]), times)
         in_frame = closed + forced_path(params, field.rotated_drive(), times)
-        lab = _rotate_pairs(in_frame, -field.frame_angle(times))
-        traj_path = out / f"{sc.name}_trajectory.csv"
-        _write_csv(
-            traj_path,
-            ["t", "q1", "p1", "q2", "p2", "q3", "p3"],
-            ((t, *z) for t, z in zip(times, lab)),
-        )
-        phase_path = out / f"{sc.name}_phase.csv"
-        _write_csv(
-            phase_path,
-            ["t", "action_phase"],
-            zip(report.phase_times, report.phase_values),
-        )
-        artifacts.extend([traj_path, phase_path])
-    return checks, artifacts
+        lab = rotating_frame_map(field).inverse(times, in_frame)
+        yield from ((t, *z) for t, z in zip(times, lab))
+
+    return checks, {
+        "trajectory": (["t", "q1", "p1", "q2", "p2", "q3", "p3"], trajectory()),
+        "phase": (["t", "action_phase"], zip(report.phase_times, report.phase_values)),
+    }
 
 
-def _run_quantum(sc: Scenario, out: Path | None, scale: float):
+def _run_quantum(sc: Scenario, scale: float):
     p = sc.params
     field = StaticField(b3=p["b3"], e=p["e_field"])
     params = field.osc_params
@@ -385,15 +385,10 @@ def _run_quantum(sc: Scenario, out: Path | None, scale: float):
         checks.append(
             CheckResult("moving-origin-identity", phi2_via.distance(phi3), scale * 1e-12)
         )
-    artifacts = []
-    if out is not None:
-        wf_path = out / f"{sc.name}_wavefunction.csv"
-        _write_csv(wf_path, ["x", "y", "re", "im", "abs2"], wavefunction_rows(psi1))
-        artifacts.append(wf_path)
-    return checks, artifacts
+    return checks, {"wavefunction": (["x", "y", "re", "im", "abs2"], wavefunction_rows(psi1))}
 
 
-def _run_expansion(sc: Scenario, out: Path | None, scale: float):
+def _run_expansion(sc: Scenario, scale: float):
     p = sc.params
     theta = p["theta"]
     rows = []
@@ -428,15 +423,10 @@ def _run_expansion(sc: Scenario, out: Path | None, scale: float):
         CheckResult("off-level-leakage", leak, scale * 1e-10),
         CheckResult("degeneracy-consistency", degeneracy, scale * 1e-12),
     ]
-    artifacts = []
-    if out is not None:
-        path = out / f"{sc.name}_coefficients.csv"
-        _write_csv(path, ["level", "k1", "k2", "m1", "m2", "coeff"], rows)
-        artifacts.append(path)
-    return checks, artifacts
+    return checks, {"coefficients": (["level", "k1", "k2", "m1", "m2", "coeff"], rows)}
 
 
-def _run_hill(sc: Scenario, out: Path | None, scale: float):
+def _run_hill(sc: Scenario, scale: float):
     p = sc.params
     a_values = np.linspace(p["a_min"], p["a_max"], p["a_count"])
     q_values = np.linspace(p["q_min"], p["q_max"], p["q_count"])
@@ -462,19 +452,11 @@ def _run_hill(sc: Scenario, out: Path | None, scale: float):
         CheckResult("monodromy-determinant", det_defect, scale * 1e-8),
         CheckResult("constant-frequency-trace", const_defect, scale * 1e-8),
     ]
-    artifacts = []
-    if out is not None:
-        path = out / f"{sc.name}_stability.csv"
-        _write_csv(
-            path,
-            ["param1", "param2", "trace", "classification"],
-            [(r.param1, r.param2, r.trace, r.classification) for r in rows],
-        )
-        artifacts.append(path)
-    return checks, artifacts
+    table = ((r.param1, r.param2, r.trace, r.classification) for r in rows)
+    return checks, {"stability": (["param1", "param2", "trace", "classification"], table)}
 
 
-def _run_case1(sc: Scenario, out: Path | None, scale: float):
+def _run_case1(sc: Scenario, scale: float):
     p = sc.params
     const, amp, freq = p["b3_const"], p["b3_cos_amp"], p["b3_cos_freq"]
 
@@ -496,24 +478,11 @@ def _run_case1(sc: Scenario, out: Path | None, scale: float):
         CheckResult("closed-form-vs-ode", float(np.max(np.abs(closed - r))), scale * 1e-6),
         CheckResult("rotation-orthogonality", ortho, scale * 1e-12),
     ]
-    artifacts = []
-    if out is not None:
-        samples = np.linspace(0.0, T, 33)
-        rows = []
-        for t in samples:
-            m = accumulated_rotation(field, float(t))
-            rows.append((t, *m.ravel()))
-        path = out / f"{sc.name}_rotation.csv"
-        _write_csv(
-            path,
-            ["t"] + [f"r{i}{j}" for i in range(3) for j in range(3)],
-            rows,
-        )
-        artifacts.append(path)
-    return checks, artifacts
+    rows = ((t, *accumulated_rotation(field, float(t)).ravel()) for t in np.linspace(0.0, T, 33))
+    return checks, {"rotation": (["t"] + [f"r{i}{j}" for i in range(3) for j in range(3)], rows)}
 
 
-def _run_case2(sc: Scenario, out: Path | None, scale: float):
+def _run_case2(sc: Scenario, scale: float):
     p = sc.params
     field = RotatingField(
         b1=p["b1"], b3=p["b3"], alpha=p["alpha"], charge=p["charge"], mass=p["mass"]
@@ -551,20 +520,9 @@ def _run_case2(sc: Scenario, out: Path | None, scale: float):
         CheckResult("stiffness-period", period_defect, scale * 1e-10),
         CheckResult("symplectic-reductions", map_defect, scale * 1e-8),
     ]
-    artifacts = []
-    if out is not None:
-        rows = []
-        for t in np.linspace(0.0, period, 33):
-            s = system.omega_sq_matrix(float(t))
-            rows.append((t, *s.ravel()))
-        path = out / f"{sc.name}_stiffness.csv"
-        _write_csv(
-            path,
-            ["t"] + [f"s{i}{j}" for i in range(3) for j in range(3)],
-            rows,
-        )
-        artifacts.append(path)
-    return checks, artifacts
+    samples = np.linspace(0.0, period, 33)
+    rows = ((t, *system.omega_sq_matrix(float(t)).ravel()) for t in samples)
+    return checks, {"stiffness": (["t"] + [f"s{i}{j}" for i in range(3) for j in range(3)], rows)}
 
 
 _RUNNERS = {
@@ -583,18 +541,23 @@ def run(
     tolerance_scale: float = 1.0,
     check_only: bool = False,
 ) -> RunReport:
-    """Execute one scenario; write artifacts unless check_only."""
-    out = None
+    """Execute one scenario; unless check_only, write each table its runner
+    returns as the artifact `<name>_<table>.csv`, in the runner's order."""
+    started = time.perf_counter()
+    checks, tables = _RUNNERS[scenario.mode](scenario, tolerance_scale)
+    artifacts = []
     if not check_only:
         out = Path(out_dir) if out_dir is not None else Path("out")
         out.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    checks, artifacts = _RUNNERS[scenario.mode](scenario, out, tolerance_scale)
+        for table, (header, rows) in tables.items():
+            path = out / f"{scenario.name}_{table}.csv"
+            _write_csv(path, header, rows)
+            artifacts.append(str(path))
     return RunReport(
         scenario=scenario.name,
         checks=checks,
         wall_time=time.perf_counter() - started,
-        artifacts=[str(a) for a in artifacts],
+        artifacts=artifacts,
     )
 
 

@@ -237,7 +237,6 @@ def corotating_reduction(field: RotatingField) -> tuple[ReducedQuadraticHamilton
         forward=forward,
         inverse=inverse,
         phase_A=lambda t: 0.0,
-        label="corotating",
     )
     return reduced, cmap
 
@@ -299,7 +298,6 @@ def coriolis_elimination(
         forward=forward,
         inverse=inverse,
         phase_A=lambda t: 0.0,
-        label="coriolis-elimination",
     )
     return system, cmap
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldosc import classical
 from fieldosc.core import OscParams, QuadratureSpec, block_propagator, rotation_about_z
 from fieldosc.classical import (
     Drive,
@@ -354,6 +355,51 @@ class TestMovingOriginMap:
         z = np.random.default_rng(seed).normal(size=6)
         assert symplectic_defect(mover.forward, t, z) <= 1e-8
 
+    def test_origin_is_read_only(self):
+        mover = moving_origin_map(OscParams(1.0, 1.0), Drive.constant((1.0, 0.0, 0.0)), QUAD)
+        for part in (mover.q_nh(1.0), mover.p_nh(1.0)):
+            with pytest.raises(ValueError):
+                part[0] = 99.0
+        # unit force from rest: Q1(t) = 1 - cos(t)
+        assert mover.forward(1.0, np.zeros(6))[0] == pytest.approx(math.cos(1.0) - 1.0)
+
+    def test_one_forced_pass_per_time(self, monkeypatch):
+        calls = []
+        original = classical._forced_path_on
+
+        def counted(times, params, drive):
+            calls.append(times[-1])
+            return original(times, params, drive)
+
+        monkeypatch.setattr(classical, "_forced_path_on", counted)
+        mover = moving_origin_map(OscParams(1.0, 1.1), Drive.constant((0.3, 0.2, -0.1)), QUAD)
+        z = np.ones(6)
+        for t in (1.5, 2.0):
+            mover.forward(t, z)
+            mover.inverse(t, z)
+            mover.q_nh(t)
+            mover.p_nh(t)
+            mover.phase_A(t)
+        assert calls == [1.5, 2.0]
+
+
+class TestSubnormalFrequency:
+    # w = 5e-324 makes m w and w t subnormal; the paths must keep the
+    # free-particle limit instead of a quotient of quantised values
+    params = OscParams(1.0, 5e-324)
+
+    def test_block_propagate_path_keeps_free_limit(self):
+        out = block_propagate_path(self.params, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), [2.5])
+        assert out[0, 0] == pytest.approx(2.5, rel=1e-15)
+        assert out[0, 1] == 1.0
+
+    def test_forced_path_keeps_free_limit(self):
+        times = np.linspace(0.0, 2.5, 33)
+        out = forced_path(self.params, Drive.constant((1.0, 0.0, 0.0)), times)
+        # unit force from rest: Q1 = t^2 / 2, P1 = t
+        assert out[-1, 0] == pytest.approx(3.125, rel=1e-14)
+        assert out[-1, 1] == pytest.approx(2.5, rel=1e-14)
+
 
 class TestRK4Oracle:
     def test_free_particle_exact(self):
@@ -418,6 +464,21 @@ class TestRK4Oracle:
 
 
 class TestEndToEndEquivalence:
+    def test_report_makes_one_forced_pass_per_time(self, monkeypatch):
+        calls = []
+        original = classical._forced_path_on
+
+        def counted(times, params, drive):
+            calls.append(times.size)
+            return original(times, params, drive)
+
+        monkeypatch.setattr(classical, "_forced_path_on", counted)
+        field = StaticField(b3=1.5, e=(0.1, -0.05, 0.02))
+        equivalence_report(field, np.full(6, 0.1), 0.5, dt=1e-2, symplectic_samples=3)
+        # the oracle's grid once (origin and phase together), then one
+        # grid per symplectic sample
+        assert len(calls) == 4 and calls[0] == 51
+
     def test_chain_lands_on_oscillator_orbit(self):
         field = StaticField(b3=2.3, e=(0.05, -0.12, 0.08))
         params = field.osc_params

@@ -1,9 +1,11 @@
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fieldosc import cli
 from fieldosc.cli import (
     RunReport,
     ScenarioError,
@@ -99,6 +101,22 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="axial electric field"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("mode = quantum-pipeline\nb3 = 2.0\ngrid_n = 100\n", "grid_n"),
+            ("mode = classical-equivalence\nb3 = nan\n", "b3"),
+            ("mode = case1\nb3_const = inf\n", "b3_const"),
+            ("mode = classical-equivalence\nb3 = 1.0\ne_field = 0, nan, 0\n", "e_field"),
+        ],
+        ids=["grid_n-100", "b3-nan", "b3_const-inf", "e_field-nan"],
+    )
+    def test_bad_value_is_a_diagnostic(self, tmp_path, capsys, text, key):
+        path = write(tmp_path, "bad.cfg", text)
+        assert main(["run", str(path), "--check-only"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"bad\.cfg:\d+: key '{key}'", err), err
+
 
 class TestRunners:
     def test_classical_checks_pass(self, tmp_path):
@@ -162,6 +180,28 @@ class TestRunners:
         assert report.passed
         names = {c.name for c in report.checks}
         assert "moving-origin-identity" in names
+
+    def test_tables_written_in_runner_order(self, tmp_path):
+        path = write(
+            tmp_path, "cls.cfg", "mode = classical-equivalence\nb3 = 1.5\nhorizon = 0.5\n"
+        )
+        out = tmp_path / "out"
+        report = run(parse_scenario(path), out_dir=out)
+        assert report.artifacts == [str(out / "cls_trajectory.csv"), str(out / "cls_phase.csv")]
+        table = (out / "cls_trajectory.csv").read_text().splitlines()
+        assert table[0] == "t,q1,p1,q2,p2,q3,p3" and len(table) == 1002
+
+    def test_check_only_computes_no_table_rows(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("table rows computed in a check-only run")
+
+        # block_propagate_path is used in cli by the trajectory rows alone
+        monkeypatch.setattr(cli, "block_propagate_path", refuse)
+        monkeypatch.setattr(cli, "_write_csv", refuse)
+        path = write(
+            tmp_path, "cls.cfg", "mode = classical-equivalence\nb3 = 1.5\nhorizon = 0.5\n"
+        )
+        assert run(parse_scenario(path), check_only=True).passed
 
     def test_check_only_writes_nothing(self, tmp_path):
         path = write(

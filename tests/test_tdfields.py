@@ -36,17 +36,16 @@ from fieldosc.tdfields import _monodromy_matrices
 def integrate_rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
     """RK4 on dR/dt = W(t) R(t), the defining equation of the frame."""
     h = t / steps
+    starts = np.arange(steps) * h
+    # the rate at every stage time of each kind: step start, midpoint, end
+    rates = [field.rate(starts), field.rate(starts + 0.5 * h), field.rate(starts + h)]
     r = np.eye(3)
     for i in range(steps):
-        s = i * h
-
-        def gen(u):
-            return cross_matrix((0.0, 0.0, float(field.rate(u))))
-
-        k1 = gen(s) @ r
-        k2 = gen(s + 0.5 * h) @ (r + 0.5 * h * k1)
-        k3 = gen(s + 0.5 * h) @ (r + 0.5 * h * k2)
-        k4 = gen(s + h) @ (r + h * k3)
+        g1, g2, g4 = (cross_matrix((0.0, 0.0, float(rate[i]))) for rate in rates)
+        k1 = g1 @ r
+        k2 = g2 @ (r + 0.5 * h * k1)
+        k3 = g2 @ (r + 0.5 * h * k2)
+        k4 = g4 @ (r + h * k3)
         r = r + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return r
 
