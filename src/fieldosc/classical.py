@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    _TINY,
     OscParams,
     QuadratureSpec,
+    _sin_over_mw,
     block_propagator,
     cumulative_simpson,
     rk4_steps,
@@ -232,17 +232,7 @@ def eval_H1(field: StaticField, z) -> np.ndarray | float:
     z = _as_state(z)
     if z.shape[-1] != 6:
         raise ValueError("H1 needs a 6-component phase state")
-    m = field.mass
-    half_rate = 0.5 * field.cyclotron_rate * m
-    x1, p1 = z[..., 0], z[..., 1]
-    x2, p2 = z[..., 2], z[..., 3]
-    x3, p3 = z[..., 4], z[..., 5]
-    v1 = p1 + half_rate * x2
-    v2 = p2 - half_rate * x1
-    kinetic = (v1 * v1 + v2 * v2 + p3 * p3) / (2.0 * m)
-    e1, e2, e3 = field.e
-    potential = -field.charge * (x1 * e1 + x2 * e2 + x3 * e3)
-    return kinetic + potential
+    return h1_evaluator(field)(z, 0.0)
 
 
 def eval_H2(params: OscParams, drive: Drive, z, t) -> np.ndarray | float:
@@ -267,28 +257,31 @@ def eval_H3(params: OscParams, z) -> np.ndarray | float:
 
 
 def h1_evaluator(fields) -> Callable:
-    """Vectorized H1 evaluator, batched over a sequence of fields.
+    """Vectorized H1 evaluator of one field, or batched over a sequence of
+    fields; the one H1 formula of the package.
 
     With B fields the returned callable maps states of shape (..., B, 6)
-    to energies of shape (..., B); a single field gives the unbatched
-    evaluator.  Meant to feed `rk4_hamiltonian_flow`.
+    to energies of shape (..., B); a single field has no batch axis and
+    maps (..., 6) to (...).  It does not check its states (`eval_H1`
+    does); it is meant to feed `rk4_hamiltonian_flow`, which checks them.
     """
-    if isinstance(fields, StaticField):
-        return lambda z, t: eval_H1(fields, z)
+    batched = not isinstance(fields, StaticField)
     # rows: half the cyclotron rate times m, 2m, and the three of q*E
     coefs = np.array(
         [
             (0.5 * f.cyclotron_rate * f.mass, 2.0 * f.mass, *(np.asarray(f.e) * f.charge))
-            for f in fields
+            for f in (fields if batched else [fields])
         ]
     ).T
+    if not batched:
+        coefs = coefs[:, 0]
 
     @functools.lru_cache(maxsize=8)
     def coefs_for(batch: tuple) -> np.ndarray:
         # spread out to the full batch shape, so that every ufunc below
         # sees operands of one shape and no broadcasting
         full = np.broadcast_shapes(batch, coefs.shape[1:])
-        column = coefs.reshape((5,) + (1,) * (len(full) - 1) + (-1,))
+        column = coefs.reshape((5,) + (1,) * (len(full) - coefs.ndim + 1) + coefs.shape[1:])
         spread = np.broadcast_to(column, (5,) + full).copy()
         spread.flags.writeable = False  # shared by every call of that shape
         return spread
@@ -327,23 +320,6 @@ class DrivenSolution:
     state: np.ndarray
     homogeneous: np.ndarray
     forced: np.ndarray
-
-
-def _sin_over_mw(params: OscParams, times, s, factor=1.0) -> np.ndarray:
-    """sin(w t) * factor / (m w) at every time, given s = sin(w t): the
-    upper propagator entry times `factor`.  Where m w or a nonzero w t is
-    subnormal, that quotient of quantised values loses its precision, so
-    there it is (t / m) * (sin(wt) / (wt)) * factor, as in propagator_2x2
-    (at w t = 0 both forms give 0 * factor)."""
-    m, w = params.mass, params.omega
-    x = w * times
-    out = s * factor / (m * w)
-    ax = np.abs(x)
-    guard = ((ax < _TINY) & (ax > 0.0)) | (m * w < _TINY)
-    if guard.any():
-        sinc = np.divide(s, x, out=np.ones_like(x), where=x != 0.0)
-        out[guard] = ((times / m) * sinc * factor)[guard]
-    return out
 
 
 def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.ndarray:

@@ -5,8 +5,9 @@ Every scenario names a ``mode``; remaining keys are validated against the
 mode's schema (unknown keys, bad types, and missing required keys are
 reported with the offending key and line).  ``run`` executes each
 scenario's pipeline, evaluates the module invariants as named checks, and
-writes plot-ready CSV artifacts; the exit status is 0 iff every check of
-every scenario passes.
+writes plot-ready CSV artifacts.  Exit status: 0 if every check of every
+scenario passes, 1 if a check fails, 2 for a bad scenario file, and 3 if a
+scenario raised (it gets a failed ``error`` line; the others still run).
 
 CSV artifacts use a one-line header, '.' decimals, and 17-significant-
 digit scientific notation so repeated runs are byte-identical.
@@ -25,6 +26,7 @@ Example scenario::
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -123,10 +125,11 @@ class RunReport:
     checks: list
     wall_time: float = 0.0
     artifacts: list = dataclass_field(default_factory=list)
+    error: str | None = None  # "Type: message" of an exception the run raised
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.error is None and all(c.passed for c in self.checks)
 
 
 # ----------------------------------------------------------------------
@@ -467,8 +470,15 @@ def _run_case1(sc: Scenario, scale: float):
     T = p["time"]
     n = p["ode_steps"]
 
+    @functools.lru_cache(maxsize=1)
+    def generator(t: float) -> np.ndarray:
+        # k3 reuses k2's value, a step's start the last step's end if i*h + h == (i+1)*h
+        w = cross_matrix((0.0, 0.0, float(field.rate(t))))
+        w.flags.writeable = False
+        return w
+
     def rhs(r, t):
-        return cross_matrix((0.0, 0.0, float(field.rate(t)))) @ r
+        return generator(t) @ r
 
     for _, r in rk4_steps(rhs, np.eye(3), T / n, n):
         pass
@@ -593,12 +603,18 @@ def main(argv=None) -> int:
         return 2
 
     def execute(sc: Scenario) -> RunReport:
-        return run(
-            sc,
-            out_dir=args.out_dir,
-            tolerance_scale=args.tolerance_scale,
-            check_only=args.check_only,
-        )
+        # a scenario that raises is reported as such; the batch goes on
+        started = time.perf_counter()
+        try:
+            return run(
+                sc,
+                out_dir=args.out_dir,
+                tolerance_scale=args.tolerance_scale,
+                check_only=args.check_only,
+            )
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            return RunReport(sc.name, [], time.perf_counter() - started, error=error)
 
     if args.threads > 1 and len(scenarios) > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -609,6 +625,8 @@ def main(argv=None) -> int:
     reports.sort(key=lambda r: r.scenario)
     failures = 0
     for report in reports:
+        if report.error is not None:
+            print(f"[FAIL] {report.scenario}: error ({report.error})")
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
             if not check.passed:
@@ -621,6 +639,8 @@ def main(argv=None) -> int:
             f"-- {report.scenario}: "
             f"{'ok' if report.passed else 'FAILED'} in {report.wall_time:.2f} s"
         )
+    if any(r.error is not None for r in reports):
+        return 3
     return 0 if failures == 0 else 1
 
 

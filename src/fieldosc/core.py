@@ -116,10 +116,8 @@ def propagator_2x2(params: OscParams, t: float) -> np.ndarray:
     """Exact oscillator propagator on one (Q, P) pair.
 
     [[cos(wt), sin(wt)/(m w)], [-m w sin(wt), cos(wt)]]; for omega == 0 the
-    analytic free block is returned instead of evaluating sin(wt)/w.
-    Where m w or w t is subnormal, a quotient of those quantised values
-    loses its precision (w = 5e-324 gives sin(2.5 w)/w = 2), so the upper
-    entry is taken as (t/m) * (sin(wt)/(wt)) instead.
+    analytic free block is returned instead of evaluating sin(wt)/w, and
+    the upper entry keeps that limit at subnormal omega (`_sin_over_mw`).
     Determinant is exactly cos^2 + sin^2 = 1 up to roundoff (symplectic).
     """
     if not math.isfinite(t):
@@ -129,10 +127,25 @@ def propagator_2x2(params: OscParams, t: float) -> np.ndarray:
         return free_block_2x2(m, t)
     x = w * t
     c, s = math.cos(x), math.sin(x)
-    if m * w < _TINY or abs(x) < _TINY:
-        sinc = s / x if x != 0.0 else 1.0
-        return np.array([[c, (t / m) * sinc], [-m * w * s, c]])
-    return np.array([[c, s / (m * w)], [-m * w * s, c]])
+    return np.array([[c, _sin_over_mw(params, t, s)], [-m * w * s, c]])
+
+
+def _sin_over_mw(params: OscParams, t, s, factor=1.0):
+    """sin(wt) * factor / (m w), the upper propagator entry times `factor`,
+    given s = sin(wt), at one time or an array of times (omega > 0).  Where
+    m w is subnormal, or w t is subnormal or 0 at t != 0, a quotient of
+    those quantised values loses its precision (w = 5e-324 gives
+    sin(2.5 w)/w = 2), so there it is (t/m) * (sin(wt)/(wt)) * factor."""
+    m, w = params.mass, params.omega
+    x = w * t
+    small = (abs(x) < _TINY) & (t != 0.0)
+    if m * w >= _TINY and not np.any(small):
+        return s * factor / (m * w)
+    sinc = np.divide(s, x, out=np.ones_like(x), where=x != 0.0)
+    limit = (t / m) * sinc * factor
+    if m * w < _TINY:
+        return limit
+    return np.where(small, limit, s * factor / (m * w))
 
 
 def block_propagator(params: OscParams, t: float) -> np.ndarray:

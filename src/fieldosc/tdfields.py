@@ -12,7 +12,7 @@ Hill system handed to the monodromy machinery below.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -284,8 +284,6 @@ def coriolis_elimination(
         mass=reduced.mass,
         omega_sq_matrix=omega_sq_matrix,
         period=period,
-        axis=axis,
-        speed=speed,
     )
 
     def forward(t, z):
@@ -329,24 +327,6 @@ class VectorHillSystem:
     mass: float
     omega_sq_matrix: Callable
     period: float
-    axis: np.ndarray
-    speed: float
-
-    def scalar_modes(self) -> list[HillSystem]:
-        """Per-axis Hill systems: the diagonal entries of the rotating
-        stiffness (mode coupling is dropped in this projection)."""
-        if not math.isfinite(self.period):
-            raise ValueError("scalar modes need a finite stiffness period")
-        systems = []
-        for i in range(3):
-            def omega_sq(t, _i=i):
-                t = np.asarray(t, dtype=float)
-                if t.ndim == 0:
-                    return self.omega_sq_matrix(float(t))[_i, _i]
-                return np.array([self.omega_sq_matrix(float(s))[_i, _i] for s in t])
-
-            systems.append(HillSystem(omega_sq=omega_sq, period=self.period))
-        return systems
 
 
 @dataclass(frozen=True)
@@ -375,18 +355,22 @@ def _monodromy_matrices(
     `omega_sq_values(t)` may return a scalar or a batch (B,); the result
     has shape (..., 2, 2) accordingly.  Runs vectorized over the batch.
     """
-    shape = np.asarray(omega_sq_values(0.0), dtype=float).shape
-    # the stages come at t, t + h/2, t + h/2, t + h: k3 reuses k2's w2
-    fresh = itertools.cycle((True, True, False, True))
-    neg_w2 = [None]
+
+    @functools.lru_cache(maxsize=1)
+    def neg_w2(t: float) -> np.ndarray:
+        # k3 reuses k2's value, a step's start the last step's end if i*h + h == (i+1)*h
+        out = np.array(omega_sq_values(t), dtype=float)
+        np.negative(out, out=out)
+        out.flags.writeable = False
+        return out
+
+    shape = neg_w2(0.0).shape
 
     def rhs(y, t):
         # derivative of the flattened [[a, b], [c, d]] under [[0, 1], [-w2, 0]]
-        if next(fresh):
-            neg_w2[0] = -np.asarray(omega_sq_values(t), dtype=float)
         out = np.empty_like(y)
         out[:2] = y[2:]
-        np.multiply(neg_w2[0], y[:2], out=out[2:])
+        np.multiply(neg_w2(t), y[:2], out=out[2:])
         return out
 
     y = np.zeros((4,) + shape)

@@ -70,6 +70,21 @@ def _reference_rk4_path(hamiltonian, z0, t, dt, fd_step=1e-5):
     return np.array(path)
 
 
+def _reference_eval_h1(field, z):
+    """The single-field H1 formula of `eval_H1` in its first form."""
+    m = field.mass
+    half_rate = 0.5 * field.cyclotron_rate * m
+    x1, p1 = z[..., 0], z[..., 1]
+    x2, p2 = z[..., 2], z[..., 3]
+    x3, p3 = z[..., 4], z[..., 5]
+    v1 = p1 + half_rate * x2
+    v2 = p2 - half_rate * x1
+    kinetic = (v1 * v1 + v2 * v2 + p3 * p3) / (2.0 * m)
+    e1, e2, e3 = field.e
+    potential = -field.charge * (x1 * e1 + x2 * e2 + x3 * e3)
+    return kinetic + potential
+
+
 def _reference_h1(fields):
     """The batched H1 evaluator in its first form."""
     half = np.array([0.5 * f.cyclotron_rate * f.mass for f in fields])
@@ -384,21 +399,24 @@ class TestMovingOriginMap:
 
 
 class TestSubnormalFrequency:
-    # w = 5e-324 makes m w and w t subnormal; the paths must keep the
-    # free-particle limit instead of a quotient of quantised values
-    params = OscParams(1.0, 5e-324)
+    # w = 5e-324 makes m w and w t subnormal; w = 1e-300 keeps m w normal,
+    # but w t underflows to exactly 0 at t = 1e-30.  The paths must keep
+    # the free-particle limit instead of a quotient of quantised values
+    cases = ((OscParams(1.0, 5e-324), 2.5), (OscParams(1.0, 1e-300), 1e-30))
 
     def test_block_propagate_path_keeps_free_limit(self):
-        out = block_propagate_path(self.params, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), [2.5])
-        assert out[0, 0] == pytest.approx(2.5, rel=1e-15)
-        assert out[0, 1] == 1.0
+        for params, t in self.cases:
+            out = block_propagate_path(params, (0.0, 1.0, 0.0, 0.0, 0.0, 0.0), [t])
+            assert out[0, 0] == pytest.approx(t, rel=1e-15, abs=0.0)
+            assert out[0, 1] == 1.0
 
     def test_forced_path_keeps_free_limit(self):
-        times = np.linspace(0.0, 2.5, 33)
-        out = forced_path(self.params, Drive.constant((1.0, 0.0, 0.0)), times)
-        # unit force from rest: Q1 = t^2 / 2, P1 = t
-        assert out[-1, 0] == pytest.approx(3.125, rel=1e-14)
-        assert out[-1, 1] == pytest.approx(2.5, rel=1e-14)
+        for params, t in self.cases:
+            times = np.linspace(0.0, t, 33)
+            out = forced_path(params, Drive.constant((1.0, 0.0, 0.0)), times)
+            # unit force from rest: Q1 = t^2 / 2, P1 = t
+            assert out[-1, 0] == pytest.approx(t * t / 2.0, rel=1e-14, abs=0.0)
+            assert out[-1, 1] == pytest.approx(t, rel=1e-14, abs=0.0)
 
 
 class TestRK4Oracle:
@@ -442,10 +460,17 @@ class TestRK4Oracle:
             q, p = z[..., 0], z[..., 1]
             return 0.5 * p * p + 0.5 * q * q + 0.25 * q**4 - q * np.cos(t)
 
+        # the CLI's case: one charge-1 field, no batch axis
+        single = StaticField(b3=2.3, e=(0.05, -0.12, 0.08), mass=0.9)
         cases = (
             (h1_evaluator(fields), _reference_h1(fields), rng.uniform(-0.5, 0.5, (3, 6))),
             (h3, h3, rng.normal(size=(2, 3, 6))),
             (duffing, duffing, np.array([0.4, -0.0])),
+            (
+                h1_evaluator(single),
+                lambda z, t: _reference_eval_h1(single, z),
+                rng.uniform(-0.5, 0.5, 6),
+            ),
         )
         for hamiltonian, reference_h, z0 in cases:
             _, path = rk4_hamiltonian_flow(hamiltonian, z0, 0.3, 1e-3, return_path=True)

@@ -158,6 +158,22 @@ class TestRunners:
             pass
         assert np.array_equal(r, ode)
 
+    def test_case1_reuses_stage_generators(self, tmp_path, monkeypatch):
+        # k3 reuses k2's midpoint generator and a step's start the last
+        # step's end: fewer than 2.5 rate evaluations per step, not 4
+        calls = []
+        rate = FixedAxisField.rate
+
+        def counted(self, t):
+            calls.append(t)
+            return rate(self, t)
+
+        monkeypatch.setattr(FixedAxisField, "rate", counted)
+        path = write(tmp_path, "c1.cfg", "mode = case1\ntime = 2.0\node_steps = 3000\n")
+        assert run(parse_scenario(path), check_only=True).passed
+        # one more call for the closed form
+        assert len(calls) < 2.5 * 3000 + 1
+
     def test_hill_mode_artifact(self, tmp_path):
         path = write(
             tmp_path,
@@ -243,6 +259,22 @@ class TestMain:
         assert code == 0
         # aggregation is name-ordered regardless of completion order
         assert out.index("aa:") < out.index("bb:")
+
+    def test_raising_scenario_does_not_abort_batch(self, tmp_path, capsys):
+        # a grid too narrow for the packet makes the maps raise
+        a = write(
+            tmp_path,
+            "a.cfg",
+            "name = aa\nmode = quantum-pipeline\nb3 = 2.0\ngrid_n = 32\ngrid_x = 1.0\n",
+        )
+        b = write(tmp_path, "b.cfg", "name = bb\nmode = eigenstate-expansion\n")
+        code = main(["run", str(a), str(b), "--check-only"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "[FAIL] aa: error (GridSupportError: " in out
+        assert "-- aa: FAILED" in out
+        assert "[PASS] bb: level-orthogonality" in out
+        assert "-- bb: ok" in out
 
     def test_duplicate_names_rejected(self, tmp_path, capsys):
         a = write(tmp_path, "a.cfg", "name = same\nmode = eigenstate-expansion\n")

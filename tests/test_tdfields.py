@@ -283,15 +283,6 @@ class TestCoriolisElimination:
         )
         assert defect <= 1e-12
 
-    def test_scalar_modes_are_diagonal_entries(self):
-        reduced, _ = corotating_reduction(self.FIELD)
-        system, _ = coriolis_elimination(reduced)
-        modes = system.scalar_modes()
-        t = 0.9
-        s = system.omega_sq_matrix(t)
-        for i, mode in enumerate(modes):
-            assert float(mode.omega_sq_values(t)) == pytest.approx(s[i, i], abs=1e-14)
-
 
 class TestStaticLimit:
     def test_case2_degenerates_to_static_module(self):
@@ -371,6 +362,19 @@ class TestMonodromy:
         sys = mathieu_hill(1.2, 0.25)
         rep = hill_monodromy(sys, dt=math.pi / 1024)
         assert np.array_equal(rep.matrix, reference_monodromy(sys.omega_sq_values, math.pi, 1024))
+
+    def test_stage_values_are_reused(self):
+        # k3 reuses k2's midpoint value and a step's start the last step's
+        # end: about 2.3 evaluations per step, not 3 + 1/n
+        times = []
+
+        def family(t):
+            times.append(t)
+            return 1.2 + 0.5 * np.cos(2.0 * t)
+
+        _monodromy_matrices(family, math.pi, 2048)
+        assert len(times) < 2.5 * 2048
+        assert len(set(times)) == len(times)
 
     def test_runaway_non_finite_pattern_matches_reference(self):
         def runaway(t):
