@@ -64,6 +64,8 @@ __all__ = [
     "equivalence_report",
 ]
 
+_FD_STEP = 1e-5  # relative step of the finite-difference gradients and Jacobians
+
 
 class FlowBlowupError(RuntimeError):
     """Raised when an integration produces non-finite values."""
@@ -538,11 +540,10 @@ def rk4_hamiltonian_flow(
     z0,
     t: float,
     dt: float,
-    fd_step: float = 1e-5,
     return_path: bool = False,
 ):
     """Classic RK4 integration of dz/dt = Sigma grad H, with the gradient
-    obtained by central finite differences (step fd_step*(1 + max|z|)).
+    obtained by central finite differences (step 1e-5*(1 + max|z|)).
 
     z0 may be a batch (..., 2n).  `hamiltonian(z, t)` must broadcast over
     the leading axes of z: each gradient is one call on a stack of the
@@ -586,7 +587,7 @@ def rk4_hamiltonian_flow(
     sides_shape = displacement.shape + batch
 
     def velocity(state, time):
-        scale = fd_step * (1.0 + np.maximum.reduce(np.abs(state), axis=0))
+        scale = _FD_STEP * (1.0 + np.maximum.reduce(np.abs(state), axis=0))
         spread = scale[None].repeat(pattern.shape[0], axis=0)
         spread *= pattern
         sides = state.repeat(2 * dim, axis=0)
@@ -611,13 +612,13 @@ def rk4_hamiltonian_flow(
     return np.moveaxis(state, 0, -1).copy()
 
 
-def symplectic_defect(map_fn: Callable, t: float, z, fd_step: float = 1e-5) -> float:
+def symplectic_defect(map_fn: Callable, t: float, z) -> float:
     """Max-norm defect J^T Sigma J - Sigma of the finite-difference
-    Jacobian of `map_fn(t, .)` at z."""
+    Jacobian of `map_fn(t, .)` at z (step 1e-5*(1 + max|z|))."""
     z = _as_state(z)
     dim = z.shape[-1]
     sigma = symplectic_form(dim // 2)
-    scale = fd_step * (1.0 + float(np.max(np.abs(z))))
+    scale = _FD_STEP * (1.0 + float(np.max(np.abs(z))))
     disp = scale * np.eye(dim)
     plus = map_fn(t, z[None, :] + disp)
     minus = map_fn(t, z[None, :] - disp)
@@ -642,8 +643,6 @@ class EquivalenceReport:
     symplectic_defect_moving: float
     phase_times: np.ndarray
     phase_values: np.ndarray
-    horizon: float
-    dt: float
 
     @property
     def phase_max_abs(self) -> float:
@@ -703,6 +702,4 @@ def equivalence_report(
         symplectic_defect_moving=defect_mov,
         phase_times=times[::stride].copy(),
         phase_values=phase_values[::stride].copy(),
-        horizon=horizon,
-        dt=horizon / steps,
     )

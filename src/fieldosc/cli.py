@@ -26,7 +26,6 @@ Example scenario::
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 import time
@@ -36,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OscParams, QuadratureSpec, cross_matrix, rk4_steps
+from .core import OscParams, QuadratureSpec, cross_matrix, rk4_steps, stage_memo
 from .classical import (
     StaticField,
     block_propagate_path,
@@ -49,6 +48,7 @@ from .classical import (
 from .quantum import (
     EigenLabel,
     Grid,
+    check_shift_support,
     driven_hamiltonian,
     gaussian_wavepacket,
     oscillator_energy,
@@ -102,10 +102,6 @@ class Scenario:
     name: str
     mode: str
     params: dict
-    path: str = ""
-
-    def __getitem__(self, key):
-        return self.params[key]
 
 
 @dataclass(frozen=True)
@@ -284,7 +280,7 @@ def parse_scenario(path) -> Scenario:
         params[key] = default
 
     name = params.pop("name") or path.stem
-    return Scenario(name=name, mode=mode, params=params, path=str(path))
+    return Scenario(name=name, mode=mode, params=params)
 
 
 # ----------------------------------------------------------------------
@@ -369,10 +365,11 @@ def _run_quantum(sc: Scenario, scale: float):
         grid, center=p["center"], momentum=p["momentum"], width=p["width"], hbar=p["hbar"]
     )
     T, dt = p["time"], p["dt"]
-    quad = QuadratureSpec(panels_per_unit=2000)
+    mover = moving_origin_map(params, drive, QuadratureSpec(panels_per_unit=2000))
+    # a packet the grid cannot hold fails here, before any evolution
+    check_shift_support(psi0, mover.q_nh(T)[:2])
 
     phi3 = split_step_evolve(psi0, oscillator_hamiltonian(params, p["hbar"]), T, dt)
-    mover = moving_origin_map(params, drive, quad)
     phi2_via = unitary_moving_origin(phi3, T, mover)
     phi2 = split_step_evolve(psi0, driven_hamiltonian(params, drive, p["hbar"]), T, dt)
     psi1_via = unitary_rotation(phi2, T, 0.5 * field.cyclotron_rate)
@@ -470,12 +467,7 @@ def _run_case1(sc: Scenario, scale: float):
     T = p["time"]
     n = p["ode_steps"]
 
-    @functools.lru_cache(maxsize=1)
-    def generator(t: float) -> np.ndarray:
-        # k3 reuses k2's value, a step's start the last step's end if i*h + h == (i+1)*h
-        w = cross_matrix((0.0, 0.0, float(field.rate(t))))
-        w.flags.writeable = False
-        return w
+    generator = stage_memo(lambda t: cross_matrix((0.0, 0.0, float(field.rate(t)))))
 
     def rhs(r, t):
         return generator(t) @ r

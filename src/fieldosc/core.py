@@ -11,6 +11,7 @@ returned as fresh ndarrays, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -32,9 +33,11 @@ __all__ = [
     "composite_simpson",
     "cumulative_simpson",
     "rk4_steps",
+    "stage_memo",
 ]
 
 _TINY = sys.float_info.min  # smallest normal double
+_MIN_PANELS = 32  # the fewest panels of any quadrature
 
 
 @dataclass(frozen=True)
@@ -58,17 +61,16 @@ class OscParams:
 class QuadratureSpec:
     """Resolution of the composite-Simpson quadratures used for convolution
     integrals and action phases: `panels_per_unit` panels per unit time,
-    never fewer than `min_panels`, always an even count."""
+    never fewer than 32, always an even count."""
 
     panels_per_unit: float = 10_000.0
-    min_panels: int = 32
 
     def __post_init__(self):
-        if not (self.panels_per_unit > 0 and self.min_panels >= 2):
+        if not (self.panels_per_unit > 0):
             raise ValueError("quadrature resolution must be positive")
 
     def panels(self, span: float) -> int:
-        n = max(self.min_panels, int(math.ceil(self.panels_per_unit * abs(span))))
+        n = max(_MIN_PANELS, int(math.ceil(self.panels_per_unit * abs(span))))
         return n + (n % 2)
 
 
@@ -255,3 +257,18 @@ def rk4_steps(
         k1 *= sixth_h
         y += k1
         yield (i + 1) * h, y
+
+
+def stage_memo(coefficient: Callable) -> Callable:
+    """One-entry memo of a stage coefficient c(t) of an `rk4_steps` run:
+    k3 reuses k2's value, and a step's start the last step's end whenever
+    i*h + h == (i+1)*h.  `coefficient(t)` must return a fresh array (or a
+    scalar); the memo makes it read-only, as the stages share it."""
+
+    @functools.lru_cache(maxsize=1)
+    def at(t: float) -> np.ndarray:
+        value = np.asarray(coefficient(t), dtype=float)
+        value.flags.writeable = False
+        return value
+
+    return at

@@ -28,6 +28,7 @@ __all__ = [
     "ExpansionCoeffs",
     "GridSupportError",
     "GridHamiltonian",
+    "check_shift_support",
     "hermite",
     "oscillator_eigenfunction",
     "oscillator_energy",
@@ -49,6 +50,10 @@ __all__ = [
     "EvolvedEigenstate",
     "evolved_eigenstate",
 ]
+
+_BOUNDARY_CELLS = 4  # width of the frame whose mass `boundary_mass` reports
+_SUPPORT_LIMIT = 1e-8  # the most boundary mass a map may move
+_LEAK_LIMIT = 1e-6  # the most off-level weight a Gauss-Hermite projection may find
 
 
 class GridSupportError(RuntimeError):
@@ -140,13 +145,13 @@ class WaveFunction:
         coords = self.grid.meshgrid()
         return np.array([float(np.sum(c * dens) / total) for c in coords])
 
-    def boundary_mass(self, cells: int = 4) -> float:
-        """Relative probability mass in the outermost `cells`-wide frame."""
+    def boundary_mass(self) -> float:
+        """Relative probability mass in the outermost frame, 4 cells wide."""
         dens = np.abs(self.values) ** 2
         total = float(np.sum(dens))
         if total == 0.0:
             return 0.0
-        core = dens[(slice(cells, -cells),) * self.grid.dims]
+        core = dens[(slice(_BOUNDARY_CELLS, -_BOUNDARY_CELLS),) * self.grid.dims]
         return float((total - np.sum(core)) / total)
 
 
@@ -189,21 +194,16 @@ class ExpansionCoeffs:
 
 
 def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n via the three-term recurrence."""
+    """Physicists' Hermite polynomial H_n, the last row of `_hermite_table`."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    h = _hermite_table(n, np.asarray(x, dtype=float))[n]
     return h if h.ndim else float(h)
 
 
 def _hermite_table(nmax: int, x: np.ndarray) -> np.ndarray:
-    """H_0..H_nmax stacked on the leading axis."""
+    """H_0..H_nmax stacked on the leading axis, by the three-term
+    recurrence H_{k+1} = 2x H_k - 2k H_{k-1}."""
     out = np.empty((nmax + 1,) + x.shape)
     out[0] = 1.0
     if nmax >= 1:
@@ -264,7 +264,6 @@ def rotated_product_coefficients(
     k2: int,
     theta: float,
     order: int | None = None,
-    leak_limit: float = 1e-6,
 ) -> ExpansionCoeffs:
     """Expansion of a rotated 2D oscillator product state over unrotated
     products within the same level.
@@ -275,7 +274,7 @@ def rotated_product_coefficients(
     independent of mass/frequency/hbar (both sides share the length
     scale), and are computed by 2D Gauss-Hermite projection.  Support is
     confined to m1 + m2 = k1 + k2; anything found off that level is
-    reported as `leakage` and must stay below `leak_limit`.
+    reported as `leakage` and must stay below 1e-6.
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be >= 0")
@@ -296,9 +295,7 @@ def rotated_product_coefficients(
     norms = np.array(
         [math.sqrt(math.sqrt(math.pi) * (2.0**k) * math.factorial(k)) for k in range(n + 1)]
     )
-    left = (
-        _hermite_table(n, r1)[k1] / norms[k1] * (_hermite_table(n, r2)[k2] / norms[k2])
-    )
+    left = hermite(k1, r1) / norms[k1] * (hermite(k2, r2) / norms[k2])
     basis1 = _hermite_table(n, np.broadcast_to(u1, r1.shape).copy()) / norms[:, None, None]
     basis2 = _hermite_table(n, np.broadcast_to(u2, r1.shape).copy()) / norms[:, None, None]
 
@@ -311,7 +308,7 @@ def rotated_product_coefficients(
                 coeffs[(m1, m2)] = float(table[m1, m2])
             else:
                 leakage = max(leakage, abs(float(table[m1, m2])))
-    if leakage > leak_limit:
+    if leakage > _LEAK_LIMIT:
         raise ValueError(
             f"quadrature order {order} too small: off-level leakage {leakage:.3e}"
         )
@@ -429,15 +426,22 @@ def product_eigenstate(
 # ----------------------------------------------------------------------
 
 
-def _support_check(wf: WaveFunction, what: str, limit: float) -> None:
+def _support_check(wf: WaveFunction, what: str) -> None:
     mass = wf.boundary_mass()
-    if mass > limit:
+    if mass > _SUPPORT_LIMIT:
         raise GridSupportError(f"{what} would move support across the grid edge", mass)
 
 
-def unitary_rotation(
-    phi: WaveFunction, t: float, rate, support_limit: float = 1e-8
-) -> WaveFunction:
+def check_shift_support(wf: WaveFunction, shift) -> None:
+    """Raise GridSupportError unless the grid holds `wf` shifted by
+    `shift` (one entry per grid axis): the shift stays within half the
+    half-width, and wf's boundary mass within the maps' limit of 1e-8."""
+    if np.max(np.abs(shift)) > 0.5 * wf.grid.half_width:
+        raise GridSupportError("shift exceeds grid support", 1.0)
+    _support_check(wf, "shift")
+
+
+def unitary_rotation(phi: WaveFunction, t: float, rate) -> WaveFunction:
     """Unitary frame rotation: psi(x) = phi(R(rate*t) x) on the plane.
 
     `rate` may be an OscParams (rate = omega) or a signed float.  Norm is
@@ -447,36 +451,28 @@ def unitary_rotation(
     if phi.grid.dims != 2:
         raise ValueError("frame rotation needs a 2D grid")
     w = rate.omega if isinstance(rate, OscParams) else float(rate)
-    _support_check(phi, "rotation", support_limit)
+    _support_check(phi, "rotation")
     return replace(phi, values=spectral_rotate(phi.values, phi.grid, w * t))
 
 
-def unitary_moving_origin(
-    varphi: WaveFunction,
-    t: float,
-    cmap: CanonicalMap,
-    axes: tuple = (0, 1),
-    support_limit: float = 1e-8,
-) -> WaveFunction:
+def unitary_moving_origin(varphi: WaveFunction, t: float, cmap: CanonicalMap) -> WaveFunction:
     """Unitary shift onto the moving origin with its phase:
     phi(Q) = exp(i (f(Q) + A)/hbar) varphi(Q - Q_nh), where
-    f(Q) = <Q - Q_nh, P_nh> on the grid axes.
+    f(Q) = <Q - Q_nh, P_nh> on the grid's axes, the first `dims` of three.
 
     The quantized image of the classical shift: positions map to shifted
     positions and momenta pick up m * dQ_nh/dt.
     """
     if cmap.q_nh is None or cmap.p_nh is None:
         raise ValueError("canonical map does not expose a moving origin")
-    axes = tuple(axes[: varphi.grid.dims])
-    q_nh = np.asarray(cmap.q_nh(t), dtype=float)[list(axes)]
-    p_nh = np.asarray(cmap.p_nh(t), dtype=float)[list(axes)]
-    if np.max(np.abs(q_nh)) > 0.5 * varphi.grid.half_width:
-        raise GridSupportError("shift exceeds grid support", 1.0)
-    _support_check(varphi, "shift", support_limit)
+    dims = varphi.grid.dims
+    q_nh = np.asarray(cmap.q_nh(t), dtype=float)[:dims]
+    p_nh = np.asarray(cmap.p_nh(t), dtype=float)[:dims]
+    check_shift_support(varphi, q_nh)
     shifted = spectral_shift(varphi.values, varphi.grid, q_nh)
     coords = varphi.grid.meshgrid()
     local = np.zeros_like(coords[0])
-    for axis in range(len(axes)):
+    for axis in range(dims):
         local = local + (coords[axis] - q_nh[axis]) * p_nh[axis]
     phase = np.exp(1j * (local + cmap.phase_A(t)) / varphi.hbar)
     return replace(varphi, values=shifted * phase)
@@ -544,13 +540,12 @@ def split_step_evolve(
     ham: GridHamiltonian,
     t: float,
     dt: float,
-    t0: float = 0.0,
 ) -> WaveFunction:
     """Strang splitting between the spectral kinetic factor and diagonal
     potential factors; each step is unitary to roundoff.
 
     Time-dependent drives are sampled at the step boundaries (second-order
-    accurate); `t0` is the physical time of psi0.  The planar
+    accurate); psi0 is the state at time 0.  The planar
     angular-momentum term is applied as an exact per-step rotation, which
     commutes with the kinetic factor.
     """
@@ -596,13 +591,13 @@ def split_step_evolve(
     angle = ham.rotation_rate * h
     rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
     values = np.asarray(psi0.values, dtype=complex)
-    values = apply_axis_factors(values, potential_factor(t0, 0.5 * h))
+    values = apply_axis_factors(values, potential_factor(0.0, 0.5 * h))
     for i in range(steps):
         values = np.fft.ifftn(np.fft.fftn(values) * kinetic_phase)
         if rotation is not None:
             values = rotation.apply(values)
         tau = h if i < steps - 1 else 0.5 * h
-        values = apply_axis_factors(values, potential_factor(t0 + (i + 1) * h, tau))
+        values = apply_axis_factors(values, potential_factor((i + 1) * h, tau))
     return replace(psi0, values=values)
 
 

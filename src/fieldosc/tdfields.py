@@ -12,14 +12,15 @@ Hill system handed to the monodromy machinery below.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import QuadratureSpec, composite_simpson, cross_matrix, rk4_steps, rotation_about_z
+from .core import (
+    QuadratureSpec, composite_simpson, cross_matrix, rk4_steps, rotation_about_z, stage_memo
+)
 from .classical import CanonicalMap, _rotate_pairs
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "stability_map",
     "bisect_stability_boundary",
 ]
+
+_MARGINAL_TOL = 1e-9  # |trace| within this of 2 classifies as marginal
 
 
 def _eval_time_function(fn: Callable, t) -> np.ndarray:
@@ -353,17 +356,11 @@ def _monodromy_matrices(
     """RK4 fundamental solutions of x'' + w2(t) x = 0 over one period.
 
     `omega_sq_values(t)` may return a scalar or a batch (B,); the result
-    has shape (..., 2, 2) accordingly.  Runs vectorized over the batch.
+    has shape (..., 2, 2) accordingly.  Runs vectorized over the batch, on
+    the four matrix entries updated entrywise: a matrix product would turn
+    0 * inf into nan where a runaway row overflows.
     """
-
-    @functools.lru_cache(maxsize=1)
-    def neg_w2(t: float) -> np.ndarray:
-        # k3 reuses k2's value, a step's start the last step's end if i*h + h == (i+1)*h
-        out = np.array(omega_sq_values(t), dtype=float)
-        np.negative(out, out=out)
-        out.flags.writeable = False
-        return out
-
+    neg_w2 = stage_memo(lambda t: np.negative(omega_sq_values(t), dtype=float))
     shape = neg_w2(0.0).shape
 
     def rhs(y, t):
@@ -380,21 +377,28 @@ def _monodromy_matrices(
     return np.moveaxis(y, 0, -1).reshape(shape + (2, 2))
 
 
-def _classify(trace: float, marginal_tol: float) -> str:
+def _classify(trace: float) -> str:
     if not math.isfinite(trace):
         return "unstable"
-    if abs(trace) < 2.0 - marginal_tol:
+    if abs(trace) < 2.0 - _MARGINAL_TOL:
         return "stable"
-    if abs(trace) > 2.0 + marginal_tol:
+    if abs(trace) > 2.0 + _MARGINAL_TOL:
         return "unstable"
     return "marginal"
 
 
-def hill_monodromy(
-    sys: HillSystem,
-    dt: float | None = None,
-    marginal_tol: float = 1e-9,
-) -> MonodromyReport:
+def _trace_det(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trace and determinant of (..., 2, 2) monodromy matrices; a matrix
+    with a non-finite entry gets trace inf (unstable) and det nan."""
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    a, b = matrices[..., 0, 0], matrices[..., 0, 1]
+    c, d = matrices[..., 1, 0], matrices[..., 1, 1]
+    with np.errstate(invalid="ignore"):  # a non-finite matrix's values are dropped
+        trace, det = a + d, a * d - b * c
+    return np.where(finite, trace, math.inf), np.where(finite, det, math.nan)
+
+
+def hill_monodromy(sys: HillSystem, dt: float | None = None) -> MonodromyReport:
     """Integrate the fundamental solution over one period (RK4, default
     step T/4096) and classify stability from the monodromy trace."""
     if dt is None:
@@ -404,28 +408,20 @@ def hill_monodromy(
         if n_steps < 1 or abs(n_steps * dt - sys.period) > 1e-9 * sys.period:
             raise ValueError("dt must divide the period")
     matrix = _monodromy_matrices(sys.omega_sq_values, sys.period, n_steps)
-    if not np.all(np.isfinite(matrix)):
-        return MonodromyReport(
-            matrix=matrix,
-            trace=math.inf,
-            det=math.nan,
-            classification="unstable",
-            floquet_exponents=(complex(math.inf), complex(math.inf)),
-            period=sys.period,
-        )
-    trace = float(matrix[0, 0] + matrix[1, 1])
-    det = float(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
-    half = trace / 2.0
-    disc = complex(half * half - 1.0) ** 0.5
-    # larger root first, partner via det = 1 (avoids cancellation)
-    mu1 = half + disc if abs(half + disc) >= abs(half - disc) else half - disc
-    multipliers = (mu1, 1.0 / mu1)
-    exponents = tuple(np.log(complex(mu)) / sys.period for mu in multipliers)
+    trace, det = (float(v) for v in _trace_det(matrix))
+    if math.isfinite(trace):
+        half = trace / 2.0
+        disc = complex(half * half - 1.0) ** 0.5
+        # larger root first, partner via det = 1 (avoids cancellation)
+        mu1 = half + disc if abs(half + disc) >= abs(half - disc) else half - disc
+        exponents = tuple(np.log(complex(mu)) / sys.period for mu in (mu1, 1.0 / mu1))
+    else:
+        exponents = (complex(math.inf), complex(math.inf))
     return MonodromyReport(
         matrix=matrix,
         trace=trace,
         det=det,
-        classification=_classify(trace, marginal_tol),
+        classification=_classify(trace),
         floquet_exponents=exponents,
         period=sys.period,
     )
@@ -445,7 +441,6 @@ def stability_map(
     param1: Sequence[float],
     param2: Sequence[float],
     n_steps: int = 4096,
-    marginal_tol: float = 1e-9,
 ) -> list[StabilityRow]:
     """Classify every point of a parameter grid.
 
@@ -462,13 +457,10 @@ def stability_map(
         period,
         n_steps,
     )
-    # the same trace and determinant as hill_monodromy gives one point
-    finite = np.isfinite(matrices).all(axis=(-2, -1))
-    traces = np.where(finite, matrices[..., 0, 0] + matrices[..., 1, 1], math.inf)
-    dets = matrices[..., 0, 0] * matrices[..., 1, 1] - matrices[..., 0, 1] * matrices[..., 1, 0]
+    traces, dets = _trace_det(matrices)
     return [
-        StabilityRow(float(a), float(b), float(tr), _classify(float(tr), marginal_tol), float(d))
-        for a, b, tr, d in zip(p1f, p2f, traces, np.where(finite, dets, math.nan))
+        StabilityRow(float(a), float(b), float(tr), _classify(float(tr)), float(d))
+        for a, b, tr, d in zip(p1f, p2f, traces, dets)
     ]
 
 

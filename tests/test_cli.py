@@ -276,6 +276,21 @@ class TestMain:
         assert "[PASS] bb: level-orthogonality" in out
         assert "-- bb: ok" in out
 
+    def test_narrow_grid_fails_before_any_evolution(self, tmp_path, capsys, monkeypatch):
+        # psi0 has boundary mass 0.08 on a grid of half-width 1
+        calls = []
+        evolve = cli.split_step_evolve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "split_step_evolve", counted)
+        path = write(tmp_path, "narrow.cfg", "mode = quantum-pipeline\nb3 = 2.0\ngrid_x = 1.0\n")
+        assert main(["run", str(path), "--check-only"]) == 3
+        assert "[FAIL] narrow: error (GridSupportError: " in capsys.readouterr().out
+        assert calls == []
+
     def test_duplicate_names_rejected(self, tmp_path, capsys):
         a = write(tmp_path, "a.cfg", "name = same\nmode = eigenstate-expansion\n")
         b = write(tmp_path, "b.cfg", "name = same\nmode = case2\n")

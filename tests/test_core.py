@@ -15,7 +15,9 @@ from fieldosc.core import (
     energy_form_6x6,
     free_block_2x2,
     propagator_2x2,
+    rk4_steps,
     rotation_about_z,
+    stage_memo,
 )
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -177,3 +179,35 @@ class TestSimpson:
     def test_rejects_odd_panel_count(self):
         with pytest.raises(ValueError):
             composite_simpson(np.zeros(4), 0.1)
+
+
+class TestStageMemo:
+    def test_one_evaluation_per_distinct_stage_time(self):
+        # h = 1/4 makes i*h + h == (i+1)*h exact, so a step's start reuses
+        # the last step's end, and k3 reuses k2's midpoint value
+        calls = []
+
+        def coefficient(t):
+            calls.append(t)
+            return np.array([[0.0, 1.0], [-1.0 - t, 0.0]])
+
+        memo = stage_memo(coefficient)
+        steps, h = 8, 0.25
+        for _, y in rk4_steps(lambda y, t: memo(t) @ y, np.eye(2), h, steps):
+            pass
+        stage_times = {i * h + d for i in range(steps) for d in (0.0, 0.5 * h, h)}
+        assert sorted(calls) == sorted(stage_times)
+        assert len(calls) == 2 * steps + 1
+        # the same values as evaluating at every stage
+        for _, plain in rk4_steps(lambda y, t: coefficient(t) @ y, np.eye(2), h, steps):
+            pass
+        assert np.array_equal(y, plain)
+
+    def test_value_is_read_only(self):
+        memo = stage_memo(lambda t: np.full(3, t))
+        value = memo(0.5)
+        assert memo(0.5) is value
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+        scalar = stage_memo(lambda t: 2.0 * t)(0.5)
+        assert scalar == 1.0 and not scalar.flags.writeable

@@ -15,6 +15,7 @@ from fieldosc.quantum import (
     GridSupportError,
     WaveFunction,
     apply_hamiltonian,
+    check_shift_support,
     driven_hamiltonian,
     energy_expectation,
     evolved_eigenstate,
@@ -276,6 +277,16 @@ class TestUnitaryMovingOrigin:
         psi = gaussian_wavepacket(grid, (0.0, 0.0), (0.0, 0.0), 0.5)
         with pytest.raises(GridSupportError):
             unitary_moving_origin(psi, 3.0, mover)
+
+    def test_check_shift_support_limits(self):
+        grid = Grid(dims=2, n=32, half_width=6.0)
+        psi = gaussian_wavepacket(grid, (0.0, 0.0), (0.0, 0.0), 0.5)
+        check_shift_support(psi, (3.0, -3.0))  # half the half-width is allowed
+        with pytest.raises(GridSupportError, match="shift exceeds"):
+            check_shift_support(psi, (0.0, 3.1))
+        wide = gaussian_wavepacket(grid, (0.0, 0.0), (0.0, 0.0), 2.0)
+        with pytest.raises(GridSupportError, match="boundary mass"):
+            check_shift_support(wide, (0.0, 0.0))
 
 
 class TestSplitStep:

@@ -388,6 +388,22 @@ class TestMonodromy:
         assert np.array_equal(np.isfinite(new), np.isfinite(ref))
         assert np.array_equal(new, ref, equal_nan=True)
 
+    def test_runaway_read_out_shared_with_stability_map(self):
+        # the scalar report and the map's row read one matrix the same way
+        period = 4.0 * math.pi
+        sys = HillSystem(
+            omega_sq=lambda t: np.full_like(np.asarray(t, float), -1e4), period=period
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = hill_monodromy(sys, dt=period / 4096)
+            rows = stability_map(
+                lambda a, q, t: a + q * np.cos(t), period, [-1e4, 1.2], [0.0], n_steps=4096
+            )
+        assert rep.trace == rows[0].trace == math.inf
+        assert math.isnan(rep.det) and math.isnan(rows[0].det)
+        assert rep.classification == rows[0].classification == "unstable"
+        assert math.isfinite(rows[1].trace) and rows[1].classification == "stable"
+
     def test_against_brute_force_oracle(self):
         sys = mathieu_hill(0.9, 0.2)
         rep = hill_monodromy(sys)
