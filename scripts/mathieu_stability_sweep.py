@@ -1,46 +1,21 @@
 #!/usr/bin/env python3
-"""Sweep the Mathieu parameter plane, write the stability table as CSV,
-and locate the edges of the first instability tongue by bisection."""
+"""Locate the edges of the first Mathieu instability tongue at q = 0.1 by
+bisection and print them next to the perturbative estimate.  The stability
+map itself is the `hill-stability` mode: `fieldosc run scenarios/hill_demo.cfg`."""
 
 import argparse
-import math
-from pathlib import Path
 
-import numpy as np
-
-from fieldosc.tdfields import bisect_stability_boundary, mathieu_hill, stability_map
+from fieldosc.tdfields import bisect_stability_boundary, mathieu_hill
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--a-range", type=float, nargs=2, default=(0.2, 2.5))
-    parser.add_argument("--a-count", type=int, default=47)
-    parser.add_argument("--q-range", type=float, nargs=2, default=(0.0, 0.5))
-    parser.add_argument("--q-count", type=int, default=11)
-    parser.add_argument("--n-steps", type=int, default=2048)
-    parser.add_argument("--out", default="mathieu_stability.csv")
+    parser.add_argument("--n-steps", type=int, default=2048, help="RK4 steps per period")
     args = parser.parse_args()
 
-    rows = stability_map(
-        lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t),
-        math.pi,
-        np.linspace(*args.a_range, args.a_count),
-        np.linspace(*args.q_range, args.q_count),
-        n_steps=args.n_steps,
-    )
-    out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("param1,param2,trace,classification\n")
-        for r in rows:
-            fh.write(
-                f"{r.param1:.16e},{r.param2:.16e},{r.trace:.16e},{r.classification}\n"
-            )
-    unstable = sum(r.classification == "unstable" for r in rows)
-    print(f"wrote {len(rows)} rows to {out} ({unstable} unstable points)")
-
-    q = 0.1
-    lo = bisect_stability_boundary(lambda a: mathieu_hill(a, q), 0.7, 1.0, tol=1e-5)
-    hi = bisect_stability_boundary(lambda a: mathieu_hill(a, q), 1.0, 1.3, tol=1e-5)
+    q, n = 0.1, args.n_steps
+    lo = bisect_stability_boundary(lambda a: mathieu_hill(a, q), 0.7, 1.0, tol=1e-5, n_steps=n)
+    hi = bisect_stability_boundary(lambda a: mathieu_hill(a, q), 1.0, 1.3, tol=1e-5, n_steps=n)
     print(f"first tongue at q = {q}: a in [{lo:.5f}, {hi:.5f}]")
     print(f"perturbative estimate   : a in [{1 - q - q*q/8:.5f}, {1 + q - q*q/8:.5f}]")
 

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-5  # relative step of the finite-difference gradients and Jacobians
+_SYMPLECTIC_SAMPLES = 20  # random (t, z) points at which the report checks each map
 
 
 class FlowBlowupError(RuntimeError):
@@ -91,17 +92,16 @@ def _as_state(z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Drive:
-    """Spatially constant force k(t), one of three concrete forms.
+    """Spatially constant force k(t), one of two concrete forms.
 
-    ``constant``: fixed vector.  ``sinusoids``: a bank of terms
-    ``cos_amp*cos(w t) + sin_amp*sin(w t)``.  ``sampled``: a table with
-    linear interpolation, evaluable only inside its time window.
+    ``sinusoids``: a bank of terms ``cos_amp*cos(w t) + sin_amp*sin(w t)``;
+    a constant force is one term of frequency 0.  ``sampled``: a table
+    with linear interpolation, evaluable only inside its time window.
     Calling with a scalar returns shape (3,); with an array of times,
     shape (..., 3).
     """
 
     kind: str
-    const: np.ndarray | None = None
     terms: tuple = ()
     times: np.ndarray | None = None
     values: np.ndarray | None = None
@@ -112,10 +112,12 @@ class Drive:
 
     @classmethod
     def constant(cls, force) -> "Drive":
+        """A fixed force: one zero-frequency term (a -0.0 component
+        evaluates to +0.0)."""
         f = np.asarray(force, dtype=float).reshape(3)
         if not np.all(np.isfinite(f)):
             raise ValueError("constant drive must be finite")
-        return cls(kind="constant", const=f)
+        return cls.sinusoids([(0.0, f, np.zeros(3))])
 
     @classmethod
     def sinusoids(cls, terms: Sequence) -> "Drive":
@@ -157,8 +159,6 @@ class Drive:
         return None
 
     def scaled(self, factor: float) -> "Drive":
-        if self.kind == "constant":
-            return Drive.constant(self.const * factor)
         if self.kind == "sinusoids":
             return Drive.sinusoids(
                 [(w, ca * factor, sa * factor) for w, ca, sa in self.terms]
@@ -169,9 +169,7 @@ class Drive:
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        if self.kind == "constant":
-            out = np.broadcast_to(self.const, tt.shape + (3,)).copy()
-        elif self.kind == "sinusoids":
+        if self.kind == "sinusoids":
             out = np.zeros(tt.shape + (3,))
             for w, ca, sa in self.terms:
                 out += np.cos(w * tt)[..., None] * ca + np.sin(w * tt)[..., None] * sa
@@ -540,8 +538,7 @@ def rk4_hamiltonian_flow(
     z0,
     t: float,
     dt: float,
-    return_path: bool = False,
-):
+) -> tuple[np.ndarray, np.ndarray]:
     """Classic RK4 integration of dz/dt = Sigma grad H, with the gradient
     obtained by central finite differences (step 1e-5*(1 + max|z|)).
 
@@ -554,9 +551,12 @@ def rk4_hamiltonian_flow(
     order of Sigma grad H.  The stack is a transposed view of a
     component-major buffer: z[..., k] is a contiguous block.
 
-    With `return_path`, returns (times, path) where path has shape
-    (steps+1,) + z0.shape.  H quadratic in z makes the central difference
-    exact up to roundoff, so the oracle error is O(dt^4).
+    Returns (times, path): the steps+1 times from 0 to t, and the states
+    there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H
+    quadratic in z makes the central difference exact up to roundoff, so
+    the oracle error is O(dt^4).  A step that leaves a non-finite state
+    raises FlowBlowupError, the one report of a blow-up: overflow inside
+    the step is not warned about.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -597,19 +597,17 @@ def rk4_hamiltonian_flow(
         energies = hamiltonian(sides.reshape(sides_shape).transpose(to_sides), time)
         return (energies[:dim] - energies[dim:]) / spread[n_disp:]
 
-    path = None
-    if return_path:
-        path = np.empty((steps + 1,) + z.shape)
-        path[0] = z
-    state = np.moveaxis(z, -1, 0)
-    for i, (time, state) in enumerate(rk4_steps(velocity, state, h, steps), 1):
-        if not np.isfinite(state).all():
-            raise FlowBlowupError(time)
-        if return_path:
+    path = np.empty((steps + 1,) + z.shape)
+    path[0] = z
+    flow = rk4_steps(velocity, np.moveaxis(z, -1, 0), h, steps)
+    # overflow inside a step leaves a non-finite state: the check below
+    # reports it, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (time, state) in enumerate(flow, 1):
+            if not np.isfinite(state).all():
+                raise FlowBlowupError(time)
             path[i] = state.transpose(to_state)
-    if return_path:
-        return np.linspace(0.0, t, steps + 1), path
-    return np.moveaxis(state, 0, -1).copy()
+    return np.linspace(0.0, t, steps + 1), path
 
 
 def symplectic_defect(map_fn: Callable, t: float, z) -> float:
@@ -654,7 +652,6 @@ def equivalence_report(
     z0,
     horizon: float,
     dt: float = 1e-4,
-    symplectic_samples: int = 20,
     seed: int = 0,
 ) -> EquivalenceReport:
     """Integrate the charge Hamiltonian by the RK4 oracle, map through the
@@ -667,9 +664,7 @@ def equivalence_report(
 
     steps = max(2, int(round(horizon / dt)))
     steps += steps % 2
-    times, oracle = rk4_hamiltonian_flow(
-        h1_evaluator(field), z0, horizon, horizon / steps, return_path=True
-    )
+    times, oracle = rk4_hamiltonian_flow(h1_evaluator(field), z0, horizon, horizon / steps)
 
     origin_path, phase_values = _forced_path_and_action(times, params, drive)
     mapped = frame.forward(times, oracle) - origin_path
@@ -688,7 +683,7 @@ def equivalence_report(
     mover = moving_origin_map(params, drive, QuadratureSpec(panels_per_unit=1.0 / dt))
     defect_rot = 0.0
     defect_mov = 0.0
-    for _ in range(symplectic_samples):
+    for _ in range(_SYMPLECTIC_SAMPLES):
         ts = rng.uniform(0.0, horizon)
         zs = rng.normal(scale=1.0, size=6)
         defect_rot = max(defect_rot, symplectic_defect(frame.forward, ts, zs))

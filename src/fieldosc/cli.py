@@ -26,6 +26,7 @@ Example scenario::
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -305,17 +306,10 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def wavefunction_rows(wf: WaveFunction):
-    """Rows (x[, y], re, im, abs2) of a wavefunction snapshot."""
-    values = wf.values
-    if wf.grid.dims == 1:
-        for x, v in zip(wf.grid.axis(), values):
-            yield (x, v.real, v.imag, abs(v) ** 2)
-    else:
-        ax = wf.grid.axis()
-        for i in range(wf.grid.n):
-            for j in range(wf.grid.n):
-                v = values[i, j]
-                yield (ax[i], ax[j], v.real, v.imag, abs(v) ** 2)
+    """Rows (x[, y], re, im, abs2) of a wavefunction snapshot, row-major."""
+    points = itertools.product(wf.grid.axis(), repeat=wf.grid.dims)
+    for xs, v in zip(points, wf.values.ravel()):
+        yield (*xs, v.real, v.imag, abs(v) ** 2)
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +440,7 @@ def _run_hill(sc: Scenario, scale: float):
                 abs(row.trace - 2.0 * math.cos(math.sqrt(row.param1) * math.pi)),
             )
             det_defect = max(det_defect, abs(row.det - 1.0))
-    rep = hill_monodromy(mathieu_hill(1.2, 0.25), dt=math.pi / p["n_steps"])
+    rep = hill_monodromy(mathieu_hill(1.2, 0.25), p["n_steps"])
     det_defect = max(det_defect, abs(rep.det - 1.0))
     checks = [
         CheckResult("monodromy-determinant", det_defect, scale * 1e-8),

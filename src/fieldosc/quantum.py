@@ -102,10 +102,12 @@ class Grid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
 
     def meshgrid(self):
-        ax = self.axis()
-        if self.dims == 1:
-            return (ax,)
-        return np.meshgrid(ax, ax, indexing="ij")
+        return np.meshgrid(*(self.axis(),) * self.dims, indexing="ij")
+
+    def wavenumbers_sq(self) -> np.ndarray:
+        """|k|^2 on the FFT grid, summed from sparse per-axis factors."""
+        k = self.wavenumbers()
+        return sum(kk**2 for kk in np.meshgrid(*(k,) * self.dims, indexing="ij", sparse=True))
 
 
 @dataclass(frozen=True)
@@ -320,6 +322,12 @@ def rotated_product_coefficients(
 # ----------------------------------------------------------------------
 
 
+def _fourier_multiply(values: np.ndarray, axis: int, factor) -> np.ndarray:
+    """ifft(fft(values) * factor) along one axis; `factor` broadcasts
+    against the transform."""
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * factor, axis=axis)
+
+
 def spectral_shift(values: np.ndarray, grid: Grid, displacement) -> np.ndarray:
     """Samples of f(x - d): FFT phase ramp per axis (exact for the
     band-limited interpolant)."""
@@ -330,9 +338,7 @@ def spectral_shift(values: np.ndarray, grid: Grid, displacement) -> np.ndarray:
         if d == 0.0:
             continue
         phase = np.exp(-1j * k * d)
-        shape = [1] * out.ndim
-        shape[axis] = grid.n
-        out = np.fft.ifft(np.fft.fft(out, axis=axis) * phase.reshape(shape), axis=axis)
+        out = _fourier_multiply(out, axis, phase.reshape((-1,) + (1,) * (out.ndim - 1 - axis)))
     return out
 
 
@@ -369,9 +375,9 @@ class _RotationPlan:
             out = _quarter_pullback(out)
         if self.phases is not None:
             shear_x, shear_y = self.phases
-            out = np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
-            out = np.fft.ifft(np.fft.fft(out, axis=1) * shear_y, axis=1)
-            out = np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
+            out = _fourier_multiply(out, 0, shear_x)
+            out = _fourier_multiply(out, 1, shear_y)
+            out = _fourier_multiply(out, 0, shear_x)
         return out
 
 
@@ -441,18 +447,17 @@ def check_shift_support(wf: WaveFunction, shift) -> None:
     _support_check(wf, "shift")
 
 
-def unitary_rotation(phi: WaveFunction, t: float, rate) -> WaveFunction:
-    """Unitary frame rotation: psi(x) = phi(R(rate*t) x) on the plane.
+def unitary_rotation(phi: WaveFunction, t: float, rate: float) -> WaveFunction:
+    """Unitary frame rotation: psi(x) = phi(R(rate*t) x) on the plane, for
+    a signed angular rate (half the cyclotron rate for the rotating frame).
 
-    `rate` may be an OscParams (rate = omega) or a signed float.  Norm is
-    preserved to roundoff; raises GridSupportError when the state already
-    touches the boundary.
+    Norm is preserved to roundoff; raises GridSupportError when the state
+    already touches the boundary.
     """
     if phi.grid.dims != 2:
         raise ValueError("frame rotation needs a 2D grid")
-    w = rate.omega if isinstance(rate, OscParams) else float(rate)
     _support_check(phi, "rotation")
-    return replace(phi, values=spectral_rotate(phi.values, phi.grid, w * t))
+    return replace(phi, values=spectral_rotate(phi.values, phi.grid, float(rate) * t))
 
 
 def unitary_moving_origin(varphi: WaveFunction, t: float, cmap: CanonicalMap) -> WaveFunction:
@@ -530,9 +535,7 @@ def planar_field_hamiltonian(field: StaticField, hbar: float = 1.0) -> GridHamil
 def _drive_frequency_scale(drive: Drive) -> float:
     if drive.kind == "sinusoids":
         return max((abs(w) for w, _, _ in drive.terms), default=0.0)
-    if drive.kind == "sampled":
-        return 1.0 / max(float(np.min(np.diff(drive.times))), 1e-300)
-    return 0.0
+    return 1.0 / max(float(np.min(np.diff(drive.times))), 1e-300)
 
 
 def split_step_evolve(
@@ -560,12 +563,7 @@ def split_step_evolve(
 
     grid = psi0.grid
     hbar = ham.hbar
-    k = grid.wavenumbers()
-    if grid.dims == 1:
-        ksq = k**2
-    else:
-        ksq = k[:, None] ** 2 + k[None, :] ** 2
-    kinetic_phase = np.exp(-1j * h * hbar * ksq / (2.0 * ham.mass))
+    kinetic_phase = np.exp(-1j * h * hbar * grid.wavenumbers_sq() / (2.0 * ham.mass))
 
     ax = grid.axis()
     harm_half = np.exp(-1j * (0.5 * h) * 0.5 * ham.stiffness * ax**2 / hbar)
@@ -584,9 +582,9 @@ def split_step_evolve(
         return factors
 
     def apply_axis_factors(values, factors):
-        if grid.dims == 1:
-            return values * factors[0]
-        return values * factors[0][:, None] * factors[1][None, :]
+        for axis, f in enumerate(factors):
+            values = values * f.reshape((-1,) + (1,) * (grid.dims - 1 - axis))
+        return values
 
     angle = ham.rotation_rate * h
     rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
@@ -606,26 +604,18 @@ def apply_hamiltonian(psi: WaveFunction, ham: GridHamiltonian, t: float = 0.0) -
     values and residual checks)."""
     grid = psi.grid
     hbar = psi.hbar
-    k = grid.wavenumbers()
     values = psi.values
-    if grid.dims == 1:
-        kin = np.fft.ifft((hbar**2 * k**2 / (2.0 * ham.mass)) * np.fft.fft(values))
-        coords = grid.meshgrid()
-        out = kin + 0.5 * ham.stiffness * coords[0] ** 2 * values
-        if ham.drive is not None:
-            out = out - coords[0] * ham.drive(t)[0] * values
-        return out
-    ksq = k[:, None] ** 2 + k[None, :] ** 2
-    ft = np.fft.fftn(values)
-    kin = np.fft.ifftn((hbar**2 * ksq / (2.0 * ham.mass)) * ft)
-    x, y = grid.meshgrid()
-    out = kin + 0.5 * ham.stiffness * (x**2 + y**2) * values
+    kin = np.fft.ifftn((hbar**2 * grid.wavenumbers_sq() / (2.0 * ham.mass)) * np.fft.fftn(values))
+    coords = grid.meshgrid()
+    out = kin + 0.5 * ham.stiffness * sum(c**2 for c in coords) * values
     if ham.drive is not None:
         force = ham.drive(t)
-        out = out - (x * force[0] + y * force[1]) * values
+        out = out - sum(c * f for c, f in zip(coords, force)) * values
     if ham.rotation_rate != 0.0:
-        dx = np.fft.ifft(1j * k[:, None] * np.fft.fft(values, axis=0), axis=0)
-        dy = np.fft.ifft(1j * k[None, :] * np.fft.fft(values, axis=1), axis=1)
+        k = grid.wavenumbers()
+        x, y = coords
+        dx = _fourier_multiply(values, 0, 1j * k[:, None])
+        dy = _fourier_multiply(values, 1, 1j * k)
         lz = -1j * hbar * (x * dy - y * dx)
         out = out - ham.rotation_rate * lz
     return out

@@ -283,11 +283,7 @@ def coriolis_elimination(
         return 0.25 * (g @ w @ g.T)
 
     period = 2.0 * math.pi / speed if speed > 0 else math.inf
-    system = VectorHillSystem(
-        mass=reduced.mass,
-        omega_sq_matrix=omega_sq_matrix,
-        period=period,
-    )
+    system = VectorHillSystem(omega_sq_matrix=omega_sq_matrix, period=period)
 
     def forward(t, z):
         return _apply_linear_pairs(z, group(t))
@@ -327,7 +323,6 @@ class HillSystem:
 class VectorHillSystem:
     """Three-degree oscillator with a time-periodic stiffness matrix."""
 
-    mass: float
     omega_sq_matrix: Callable
     period: float
 
@@ -358,8 +353,10 @@ def _monodromy_matrices(
     `omega_sq_values(t)` may return a scalar or a batch (B,); the result
     has shape (..., 2, 2) accordingly.  Runs vectorized over the batch, on
     the four matrix entries updated entrywise: a matrix product would turn
-    0 * inf into nan where a runaway row overflows.
+    0 * inf into nan where a runaway row overflows.  `n_steps` must be >= 1.
     """
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     neg_w2 = stage_memo(lambda t: np.negative(omega_sq_values(t), dtype=float))
     shape = neg_w2(0.0).shape
 
@@ -398,15 +395,10 @@ def _trace_det(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(finite, trace, math.inf), np.where(finite, det, math.nan)
 
 
-def hill_monodromy(sys: HillSystem, dt: float | None = None) -> MonodromyReport:
-    """Integrate the fundamental solution over one period (RK4, default
-    step T/4096) and classify stability from the monodromy trace."""
-    if dt is None:
-        n_steps = 4096
-    else:
-        n_steps = int(round(sys.period / dt))
-        if n_steps < 1 or abs(n_steps * dt - sys.period) > 1e-9 * sys.period:
-            raise ValueError("dt must divide the period")
+def hill_monodromy(sys: HillSystem, n_steps: int = 4096) -> MonodromyReport:
+    """Integrate the fundamental solution over one period in `n_steps` RK4
+    steps of T/n_steps (as `stability_map` does) and classify stability
+    from the monodromy trace."""
     matrix = _monodromy_matrices(sys.omega_sq_values, sys.period, n_steps)
     trace, det = (float(v) for v in _trace_det(matrix))
     if math.isfinite(trace):
@@ -469,16 +461,16 @@ def bisect_stability_boundary(
     lo: float,
     hi: float,
     tol: float = 1e-3,
-    dt: float | None = None,
+    n_steps: int = 4096,
 ) -> float:
     """Locate a stability-boundary crossing of |trace| - 2 by bisection.
 
-    `make_system(p)` returns a HillSystem; lo and hi must bracket a sign
-    change of |trace| - 2.
+    `make_system(p)` returns a HillSystem, whose monodromy takes `n_steps`
+    RK4 steps; lo and hi must bracket a sign change of |trace| - 2.
     """
 
     def excess(p: float) -> float:
-        return abs(hill_monodromy(make_system(p), dt=dt).trace) - 2.0
+        return abs(hill_monodromy(make_system(p), n_steps).trace) - 2.0
 
     f_lo, f_hi = excess(lo), excess(hi)
     if f_lo * f_hi > 0:

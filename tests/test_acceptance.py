@@ -89,9 +89,7 @@ class TestClassicalEquivalence:
         steps += steps % 2
         h = float(np.max(horizons)) / steps
 
-        times, path = rk4_hamiltonian_flow(
-            h1_evaluator(fields), z0, float(np.max(horizons)), h, return_path=True
-        )
+        times, path = rk4_hamiltonian_flow(h1_evaluator(fields), z0, float(np.max(horizons)), h)
         worst = 0.0
         for i, field in enumerate(fields):
             params = field.osc_params

@@ -114,6 +114,15 @@ class TestDrive:
         d = Drive.constant((1.0, -2.0, 0.5))
         assert np.array_equal(d(3.7), [1.0, -2.0, 0.5])
         assert d(np.array([0.0, 1.0])).shape == (2, 3)
+        # a zero-frequency term evaluates to the force itself, bit for bit
+        rng = np.random.default_rng(3)
+        force = rng.normal(size=3) * 10.0 ** rng.integers(-300, 300, size=3)
+        d = Drive.constant(force)
+        for t in (0.0, 3.7, -1e6):
+            assert np.array_equal(d(t), force)
+        out = d(rng.uniform(-50.0, 50.0, size=(4, 5)))
+        assert out.shape == (4, 5, 3)
+        assert np.array_equal(out, np.broadcast_to(force, out.shape))
 
     def test_rotating_constant_matches_rotation(self):
         vec, rate = np.array([0.4, -0.7, 0.9]), 1.3
@@ -224,9 +233,7 @@ class TestSolveDriven:
         drive = Drive.sinusoids([(0.9, (0.3, 0.0, 0.1), (0.0, 0.2, 0.0))])
         z0 = np.array([0.5, 0.0, -0.2, 0.3, 0.1, -0.4])
         horizon = 10.0
-        times, path = rk4_hamiltonian_flow(
-            h2_evaluator(params, drive), z0, horizon, 1e-3, return_path=True
-        )
+        times, path = rk4_hamiltonian_flow(h2_evaluator(params, drive), z0, horizon, 1e-3)
         for idx in (1000, 5000, 10000):
             sol = solve_driven(params, drive, z0, times[idx], QUAD)
             assert np.max(np.abs(sol.state - path[idx])) <= 1e-6
@@ -423,14 +430,14 @@ class TestRK4Oracle:
     def test_free_particle_exact(self):
         params = OscParams(1.0, 0.0)
         z0 = np.array([0.2, 1.0, -0.5, 0.4, 0.3, -0.7])
-        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 1.0, 1e-2)
+        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 1.0, 1e-2)[1][-1]
         expected = block_propagator(params, 1.0) @ z0
         assert np.max(np.abs(out - expected)) <= 1e-10
 
     def test_oscillator_vs_closed_form(self):
         params = OscParams(1.0, 1.3)
         z0 = np.array([0.4, -0.2, 0.1, 0.5, -0.3, 0.2])
-        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 1.0, 1e-4)
+        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 1.0, 1e-4)[1][-1]
         expected = block_propagator(params, 1.0) @ z0
         assert np.max(np.abs(out - expected)) <= 1e-8
 
@@ -438,7 +445,7 @@ class TestRK4Oracle:
         params = OscParams(1.0, 0.9)
         rng = np.random.default_rng(5)
         z0 = rng.normal(size=(4, 6))
-        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 0.8, 1e-3)
+        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 0.8, 1e-3)[1][-1]
         expected = z0 @ block_propagator(params, 0.8).T
         assert np.max(np.abs(out - expected)) <= 1e-10
 
@@ -473,7 +480,7 @@ class TestRK4Oracle:
             ),
         )
         for hamiltonian, reference_h, z0 in cases:
-            _, path = rk4_hamiltonian_flow(hamiltonian, z0, 0.3, 1e-3, return_path=True)
+            _, path = rk4_hamiltonian_flow(hamiltonian, z0, 0.3, 1e-3)
             reference = _reference_rk4_path(reference_h, z0, 0.3, 1e-3)
             assert path.shape == (301,) + z0.shape
             assert np.array_equal(path, reference)
@@ -499,19 +506,17 @@ class TestEndToEndEquivalence:
 
         monkeypatch.setattr(classical, "_forced_path_on", counted)
         field = StaticField(b3=1.5, e=(0.1, -0.05, 0.02))
-        equivalence_report(field, np.full(6, 0.1), 0.5, dt=1e-2, symplectic_samples=3)
+        equivalence_report(field, np.full(6, 0.1), 0.5, dt=1e-2)
         # the oracle's grid once (origin and phase together), then one
-        # grid per symplectic sample
-        assert len(calls) == 4 and calls[0] == 51
+        # grid per symplectic sample (20 of them)
+        assert len(calls) == 21 and calls[0] == 51
 
     def test_chain_lands_on_oscillator_orbit(self):
         field = StaticField(b3=2.3, e=(0.05, -0.12, 0.08))
         params = field.osc_params
         z0 = np.array([0.3, -0.2, 0.15, 0.4, -0.1, 0.25])
         horizon = 3.0
-        times, path = rk4_hamiltonian_flow(
-            h1_evaluator(field), z0, horizon, 1e-3, return_path=True
-        )
+        times, path = rk4_hamiltonian_flow(h1_evaluator(field), z0, horizon, 1e-3)
         frame = rotating_frame_map(field)
         mover = moving_origin_map(params, frame.drive, QuadratureSpec(panels_per_unit=1000))
         reference = block_propagate_path(params, z0, times)

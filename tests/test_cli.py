@@ -1,10 +1,14 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fieldosc
 from fieldosc import cli
 from fieldosc.cli import (
     RunReport,
@@ -291,6 +295,21 @@ class TestMain:
         assert "[FAIL] narrow: error (GridSupportError: " in capsys.readouterr().out
         assert calls == []
 
+    def test_flow_blowup_is_one_error_line_without_warnings(self, tmp_path):
+        # the kinetic term overflows in the first step: the oracle's
+        # finiteness check reports it, and numpy prints nothing
+        path = write(
+            tmp_path, "blowup.cfg", "mode = classical-equivalence\nb3 = 1e200\nhorizon = 0.01\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fieldosc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fieldosc", "run", str(path), "--check-only"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert "[FAIL] blowup: error (FlowBlowupError: " in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_duplicate_names_rejected(self, tmp_path, capsys):
         a = write(tmp_path, "a.cfg", "name = same\nmode = eigenstate-expansion\n")
         b = write(tmp_path, "b.cfg", "name = same\nmode = case2\n")
@@ -342,3 +361,17 @@ class TestWavefunctionExport:
         rows = list(wavefunction_rows(wf))
         assert len(rows) == 256
         assert len(rows[0]) == 5
+        # the rows of a per-axis nested loop, value for value and type for
+        # type, so the CSV stays byte-identical
+        wf = gaussian_wavepacket(grid, (0.3, -0.2), (0.4, 0.1), 0.5)
+        ax, values = grid.axis(), wf.values
+        reference = [
+            (ax[i], ax[j], values[i, j].real, values[i, j].imag, abs(values[i, j]) ** 2)
+            for i in range(grid.n)
+            for j in range(grid.n)
+        ]
+        rows = list(wavefunction_rows(wf))
+        assert len(rows) == len(reference)
+        for row, ref in zip(rows, reference):
+            assert row == ref
+            assert [type(v) for v in row] == [type(v) for v in ref]

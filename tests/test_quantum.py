@@ -207,13 +207,13 @@ class TestSpectralOps:
 class TestUnitaryRotation:
     def test_identity_at_zero_time(self, grid256):
         psi = gaussian_wavepacket(grid256, (0.5, -0.2), (0.1, 0.3), 0.9)
-        out = unitary_rotation(psi, 0.0, OscParams(1.0, 1.2))
+        out = unitary_rotation(psi, 0.0, 1.2)
         assert np.array_equal(out.values, psi.values)
 
     def test_symmetric_gaussian_invariant(self, grid256):
         # width chosen so the edge amplitude is well below the tolerance
         psi = gaussian_wavepacket(grid256, (0.0, 0.0), (0.0, 0.0), 0.8)
-        out = unitary_rotation(psi, 0.9, OscParams(1.0, 1.2))
+        out = unitary_rotation(psi, 0.9, 1.2)
         assert np.max(np.abs(out.values - psi.values)) <= 1e-8
 
     def test_norm_preserved_for_offset_gaussian(self, grid256):
@@ -383,7 +383,7 @@ class TestEvolvedEigenstate:
         assert state.dynamical_phase == pytest.approx(-energy * t)
         # profile is exactly the rotated eigenstate
         base = product_eigenstate(grid256, EigenLabel(1, 0), field.osc_params)
-        rotated = unitary_rotation(base, t, field.osc_params)
+        rotated = unitary_rotation(base, t, field.osc_params.omega)
         assert np.max(np.abs(state.wavefunction.values - rotated.values)) <= 1e-9
 
     def test_isotropic_ground_state_profile_invariant(self, grid256):

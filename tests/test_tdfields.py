@@ -227,7 +227,7 @@ class TestCorotatingReduction:
         h4 = h4_evaluator(field)
         rng = np.random.default_rng(1)
         z0 = rng.normal(scale=0.4, size=6)
-        times, path = rk4_hamiltonian_flow(h4, z0, 2.0, 1e-3, return_path=True)
+        times, path = rk4_hamiltonian_flow(h4, z0, 2.0, 1e-3)
         worst = 0.0
         for idx in range(0, len(times), 250):
             t, z = float(times[idx]), path[idx]
@@ -328,9 +328,16 @@ class TestMonodromy:
         assert abs(mus[0] * mus[1] - 1.0) <= 1e-8  # product = det = 1
         assert abs((mus[0] + mus[1]).real - rep.trace) <= 1e-8
 
-    def test_dt_must_divide_period(self):
-        with pytest.raises(ValueError, match="divide"):
-            hill_monodromy(mathieu_hill(1.0, 0.1), dt=0.3)
+    def test_n_steps_must_be_positive(self):
+        # both entry points share the check; -5 used to give trace 2.0 and
+        # "marginal" everywhere, 0 a ZeroDivisionError
+        for n_steps in (0, -5):
+            with pytest.raises(ValueError, match="n_steps"):
+                hill_monodromy(mathieu_hill(1.0, 0.1), n_steps)
+            with pytest.raises(ValueError, match="n_steps"):
+                stability_map(
+                    lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t), math.pi, [1.0], [0.1], n_steps
+                )
 
     def test_runaway_flagged_unstable(self):
         sys = HillSystem(
@@ -346,7 +353,7 @@ class TestMonodromy:
     )
     @settings(max_examples=20, deadline=None)
     def test_determinant_is_one(self, a, q):
-        rep = hill_monodromy(mathieu_hill(a, q), dt=math.pi / 1024)
+        rep = hill_monodromy(mathieu_hill(a, q), n_steps=1024)
         assert abs(rep.det - 1.0) <= 1e-8
 
     def test_bit_identical_to_reference_loop(self):
@@ -360,7 +367,7 @@ class TestMonodromy:
         assert batch.shape == (189, 2, 2)
         assert np.array_equal(batch, reference_monodromy(family, math.pi, 1024))
         sys = mathieu_hill(1.2, 0.25)
-        rep = hill_monodromy(sys, dt=math.pi / 1024)
+        rep = hill_monodromy(sys, n_steps=1024)
         assert np.array_equal(rep.matrix, reference_monodromy(sys.omega_sq_values, math.pi, 1024))
 
     def test_stage_values_are_reused(self):
@@ -395,7 +402,7 @@ class TestMonodromy:
             omega_sq=lambda t: np.full_like(np.asarray(t, float), -1e4), period=period
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = hill_monodromy(sys, dt=period / 4096)
+            rep = hill_monodromy(sys, n_steps=4096)
             rows = stability_map(
                 lambda a, q, t: a + q * np.cos(t), period, [-1e4, 1.2], [0.0], n_steps=4096
             )
@@ -470,7 +477,7 @@ class TestMathieuStability:
                 n_steps=n,
             )
             zero = [r for r in rows if r.param2 == 0.0]
-            reps = [hill_monodromy(mathieu_hill(r.param1, 0.0), dt=math.pi / n) for r in zero]
+            reps = [hill_monodromy(mathieu_hill(r.param1, 0.0), n_steps=n) for r in zero]
         assert len(zero) == 7 and zero[-1].trace == math.inf
         for row, rep in zip(zero, reps):
             assert row.trace == rep.trace
