@@ -10,19 +10,16 @@ brute-force oracle in the test suite.
 
 from .core import (
     OscParams,
-    QuadratureSpec,
+    block_propagate_path,
     block_propagator,
     cross_matrix,
-    energy_form_2x2,
     energy_form_6x6,
-    propagator_2x2,
     rotation_about_z,
     symplectic_form,
 )
 from .classical import (
     CanonicalMap,
     Drive,
-    DrivenSolution,
     EquivalenceReport,
     FlowBlowupError,
     StaticField,

@@ -32,12 +32,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    _PANELS_PER_UNIT,
     OscParams,
-    QuadratureSpec,
+    _as_state,
     _sin_over_mw,
-    block_propagator,
+    block_propagate_path,
     cumulative_simpson,
     rk4_steps,
+    simpson_panels,
     symplectic_form,
 )
 
@@ -45,7 +47,6 @@ __all__ = [
     "Drive",
     "StaticField",
     "CanonicalMap",
-    "DrivenSolution",
     "EquivalenceReport",
     "FlowBlowupError",
     "eval_H1",
@@ -56,7 +57,6 @@ __all__ = [
     "h3_evaluator",
     "solve_driven",
     "forced_path",
-    "block_propagate_path",
     "rotating_frame_map",
     "moving_origin_map",
     "rk4_hamiltonian_flow",
@@ -74,15 +74,6 @@ class FlowBlowupError(RuntimeError):
     def __init__(self, time):
         super().__init__(f"non-finite state encountered at t = {time:.6g}")
         self.time = time
-
-
-def _as_state(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] not in (2, 6):
-        raise ValueError(f"phase state must have 2 or 6 components, got {z.shape[-1]}")
-    if not np.isfinite(z).all():
-        raise ValueError("phase state must be finite")
-    return z
 
 
 # ----------------------------------------------------------------------
@@ -308,18 +299,8 @@ def h3_evaluator(params: OscParams) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# closed-form driven solution
+# forced response
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DrivenSolution:
-    """Solution of the driven oscillator split into the homogeneous part
-    (propagated initial data) and the forced part (zero initial data)."""
-
-    state: np.ndarray
-    homogeneous: np.ndarray
-    forced: np.ndarray
 
 
 def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.ndarray:
@@ -355,62 +336,6 @@ def forced_path(params: OscParams, drive: Drive, times: np.ndarray) -> np.ndarra
     """Zero-initial-data response sampled on a uniform time grid."""
     times = np.asarray(times, dtype=float)
     return _forced_path_on(times, params, drive)
-
-
-def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
-    """Homogeneous orbit U(t) z0 at many times; z0 may be batched (..., 6).
-
-    Returns shape (len(times), ..., 6).
-    """
-    z0 = _as_state(z0)
-    if z0.shape[-1] != 6:
-        raise ValueError("propagation path needs 6-component states")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    m, w = params.mass, params.omega
-    out = np.empty(times.shape + z0.shape)
-    pad = (...,) + (None,) * (z0.ndim - 1)
-    if m * w > 0.0:
-        s = np.sin(w * times)
-        upper = _sin_over_mw(params, times, s)[pad]
-        c, s = np.cos(w * times)[pad], s[pad]
-        for axis in (0, 1):
-            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
-            out[..., 2 * axis] = c * q + upper * p
-            out[..., 2 * axis + 1] = -m * w * s * q + c * p
-    else:
-        tgrid = times[pad]
-        for axis in (0, 1):
-            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
-            out[..., 2 * axis] = q + tgrid * p / m
-            out[..., 2 * axis + 1] = np.broadcast_to(p, out[..., 0].shape)
-    tgrid = times[pad]
-    out[..., 4] = z0[..., 4] + tgrid * z0[..., 5] / m
-    out[..., 5] = np.broadcast_to(z0[..., 5], out[..., 0].shape)
-    return out
-
-
-def solve_driven(
-    params: OscParams,
-    drive: Drive,
-    z0,
-    t: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> DrivenSolution:
-    """Exact propagation of the driven oscillator to time t >= 0.
-
-    The forced convolution integral is evaluated by composite Simpson at
-    the resolution requested in `quad`.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    z0 = _as_state(z0)
-    if z0.shape[-1] != 6:
-        raise ValueError("solve_driven needs 6-component states")
-    z_h = block_propagator(params, t) @ z0 if z0.ndim == 1 else z0 @ block_propagator(params, t).T
-    z_nh = np.zeros(6)
-    if t != 0.0:
-        z_nh = _forced_path_on(np.linspace(0.0, t, quad.panels(t) + 1), params, drive)[-1]
-    return DrivenSolution(state=z_h + z_nh, homogeneous=z_h, forced=z_nh)
 
 
 def _forced_path_and_action(
@@ -494,22 +419,23 @@ def rotating_frame_map(field: StaticField) -> CanonicalMap:
 def moving_origin_map(
     params: OscParams,
     drive: Drive,
-    quad: QuadratureSpec = QuadratureSpec(),
+    panels_per_unit: float = _PANELS_PER_UNIT,
 ) -> CanonicalMap:
     """Canonical shift onto the forced trajectory (the moving origin).
 
     forward: (Q, P) -> (Q - Q_nh(t), P - P_nh(t)); the generating phase is
     the action accumulated along the moving origin, so it solves
-    dA/dt = kinetic - potential evaluated on the forced trajectory.  The
-    origin and the phase at the last time asked for come from one pass and
-    are kept; the origin is read-only, as callers share it.
+    dA/dt = kinetic - potential evaluated on the forced trajectory.  Both
+    come from one composite-Simpson pass at `panels_per_unit` panels per
+    unit time.  The origin and the phase at the last time asked for are
+    kept; the origin is read-only, as callers share it.
     """
 
     @functools.lru_cache(maxsize=1)
     def at(t: float) -> tuple[np.ndarray, float]:
         origin, phase = np.zeros(6), 0.0
         if t != 0.0:
-            grid = np.linspace(0.0, t, quad.panels(t) + 1)
+            grid = np.linspace(0.0, t, simpson_panels(panels_per_unit, t) + 1)
             path, action = _forced_path_and_action(grid, params, drive)
             origin, phase = path[-1].copy(), float(action[-1])
         origin.flags.writeable = False
@@ -526,6 +452,26 @@ def moving_origin_map(
         q_nh=lambda t: origin(t)[0::2],
         p_nh=lambda t: origin(t)[1::2],
     )
+
+
+def solve_driven(
+    params: OscParams,
+    drive: Drive,
+    z0,
+    t: float,
+    panels_per_unit: float = _PANELS_PER_UNIT,
+) -> np.ndarray:
+    """Exact state of the driven oscillator at time t >= 0: the plain
+    oscillator propagator, then the inverse moving-origin map, which adds
+    the forced response (`moving_origin_map` at `panels_per_unit`).  z0
+    may be batched (..., 6)."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    z0 = _as_state(z0)
+    if z0.shape[-1] != 6:
+        raise ValueError("solve_driven needs 6-component states")
+    homogeneous = block_propagate_path(params, z0, t)[0]
+    return moving_origin_map(params, drive, panels_per_unit).inverse(t, homogeneous)
 
 
 # ----------------------------------------------------------------------
@@ -680,7 +626,7 @@ def equivalence_report(
     invariant_drift = float(np.max(np.abs(quad_form - quad_form[0])))
 
     rng = np.random.default_rng(seed)
-    mover = moving_origin_map(params, drive, QuadratureSpec(panels_per_unit=1.0 / dt))
+    mover = moving_origin_map(params, drive, 1.0 / dt)
     defect_rot = 0.0
     defect_mov = 0.0
     for _ in range(_SYMPLECTIC_SAMPLES):

@@ -36,10 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import OscParams, QuadratureSpec, cross_matrix, rk4_steps, stage_memo
+from .core import OscParams, block_propagate_path, cross_matrix, rk4_steps, stage_memo
 from .classical import (
     StaticField,
-    block_propagate_path,
     equivalence_report,
     forced_path,
     moving_origin_map,
@@ -159,6 +158,14 @@ def _positive(what: str):
     return check
 
 
+def _non_negative(what: str):
+    def check(value):
+        if not (value >= 0):
+            raise ValueError(f"{what} must be non-negative")
+
+    return check
+
+
 def _planar_field(value):
     if value[2] != 0.0:
         raise ValueError("axial electric field is not supported on the planar grid")
@@ -169,7 +176,7 @@ _REQUIRED = object()
 
 _COMMON_SCHEMA = {
     "name": (str, None, None),
-    "seed": (int, 0, None),
+    "seed": (int, 0, _non_negative("seed")),
 }
 
 _SCHEMAS = {
@@ -359,7 +366,7 @@ def _run_quantum(sc: Scenario, scale: float):
         grid, center=p["center"], momentum=p["momentum"], width=p["width"], hbar=p["hbar"]
     )
     T, dt = p["time"], p["dt"]
-    mover = moving_origin_map(params, drive, QuadratureSpec(panels_per_unit=2000))
+    mover = moving_origin_map(params, drive, 2000)
     # a packet the grid cannot hold fails here, before any evolution
     check_shift_support(psi0, mover.q_nh(T)[:2])
 
@@ -557,6 +564,20 @@ def run(
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fieldosc",
@@ -569,10 +590,12 @@ def main(argv=None) -> int:
     runp.add_argument(
         "--check-only", action="store_true", help="evaluate checks, write no artifacts"
     )
-    runp.add_argument("--threads", type=int, default=1, help="scenario worker pool size")
+    runp.add_argument(
+        "--threads", type=_positive_int, default=1, help="scenario worker pool size"
+    )
     runp.add_argument(
         "--tolerance-scale",
-        type=float,
+        type=_positive_finite,
         default=1.0,
         help="multiply every check tolerance by this factor",
     )

@@ -1,9 +1,9 @@
 """Small dense matrices and exact oscillator propagators.
 
 Everything downstream composes the objects defined here: cross-product
-generators of magnetic rotations, planar rotation matrices, and the exact
-2x2 / 6x6 propagators of the (driven) harmonic oscillator in the
-interleaved phase-space layout (Q1, P1, Q2, P2, Q3, P3).
+generators of magnetic rotations, planar rotation matrices, and the one
+exact propagator of the harmonic oscillator in the interleaved phase-space
+layout (Q1, P1, Q2, P2, Q3, P3), vectorised over times and states.
 
 All functions are pure and operate on plain numpy arrays; matrices are
 returned as fresh ndarrays, so values can be shared freely across threads.
@@ -21,13 +21,11 @@ import numpy as np
 
 __all__ = [
     "OscParams",
-    "QuadratureSpec",
+    "simpson_panels",
     "cross_matrix",
     "rotation_about_z",
-    "propagator_2x2",
-    "free_block_2x2",
+    "block_propagate_path",
     "block_propagator",
-    "energy_form_2x2",
     "energy_form_6x6",
     "symplectic_form",
     "composite_simpson",
@@ -38,6 +36,7 @@ __all__ = [
 
 _TINY = sys.float_info.min  # smallest normal double
 _MIN_PANELS = 32  # the fewest panels of any quadrature
+_PANELS_PER_UNIT = 10_000.0  # default quadrature resolution, panels per unit time
 
 
 @dataclass(frozen=True)
@@ -57,21 +56,23 @@ class OscParams:
             raise ValueError(f"omega must be >= 0 and finite, got {self.omega}")
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolution of the composite-Simpson quadratures used for convolution
-    integrals and action phases: `panels_per_unit` panels per unit time,
-    never fewer than 32, always an even count."""
+def simpson_panels(panels_per_unit: float, span: float) -> int:
+    """Panel count of a composite-Simpson quadrature over `span` at
+    `panels_per_unit` panels per unit time: never fewer than 32, always
+    even.  The one place a quadrature resolution is checked."""
+    if not (panels_per_unit > 0):
+        raise ValueError("quadrature resolution must be positive")
+    n = max(_MIN_PANELS, int(math.ceil(panels_per_unit * abs(span))))
+    return n + (n % 2)
 
-    panels_per_unit: float = 10_000.0
 
-    def __post_init__(self):
-        if not (self.panels_per_unit > 0):
-            raise ValueError("quadrature resolution must be positive")
-
-    def panels(self, span: float) -> int:
-        n = max(_MIN_PANELS, int(math.ceil(self.panels_per_unit * abs(span))))
-        return n + (n % 2)
+def _as_state(z) -> np.ndarray:
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1] not in (2, 6):
+        raise ValueError(f"phase state must have 2 or 6 components, got {z.shape[-1]}")
+    if not np.isfinite(z).all():
+        raise ValueError("phase state must be finite")
+    return z
 
 
 def cross_matrix(b) -> np.ndarray:
@@ -109,29 +110,6 @@ def rotation_about_z(angle: float) -> np.ndarray:
     )
 
 
-def free_block_2x2(mass: float, t: float) -> np.ndarray:
-    """Free-particle propagator [[1, t/m], [0, 1]], the omega -> 0 limit."""
-    return np.array([[1.0, t / mass], [0.0, 1.0]])
-
-
-def propagator_2x2(params: OscParams, t: float) -> np.ndarray:
-    """Exact oscillator propagator on one (Q, P) pair.
-
-    [[cos(wt), sin(wt)/(m w)], [-m w sin(wt), cos(wt)]]; for omega == 0 the
-    analytic free block is returned instead of evaluating sin(wt)/w, and
-    the upper entry keeps that limit at subnormal omega (`_sin_over_mw`).
-    Determinant is exactly cos^2 + sin^2 = 1 up to roundoff (symplectic).
-    """
-    if not math.isfinite(t):
-        raise ValueError("time must be finite")
-    m, w = params.mass, params.omega
-    if w == 0.0:
-        return free_block_2x2(m, t)
-    x = w * t
-    c, s = math.cos(x), math.sin(x)
-    return np.array([[c, _sin_over_mw(params, t, s)], [-m * w * s, c]])
-
-
 def _sin_over_mw(params: OscParams, t, s, factor=1.0):
     """sin(wt) * factor / (m w), the upper propagator entry times `factor`,
     given s = sin(wt), at one time or an array of times (omega > 0).  Where
@@ -150,37 +128,58 @@ def _sin_over_mw(params: OscParams, t, s, factor=1.0):
     return np.where(small, limit, s * factor / (m * w))
 
 
-def block_propagator(params: OscParams, t: float) -> np.ndarray:
-    """6x6 propagator on (Q1,P1,Q2,P2,Q3,P3): oscillator blocks on the two
-    planar degrees, free block on the axial one."""
-    u = propagator_2x2(params, t)
-    out = np.zeros((6, 6))
-    out[0:2, 0:2] = u
-    out[2:4, 2:4] = u
-    out[4:6, 4:6] = free_block_2x2(params.mass, t)
+def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
+    """Homogeneous orbit U(t) z0 at many times; z0 may be batched (..., 6).
+
+    U(t) has the oscillator block [[cos wt, sin(wt)/(m w)], [-m w sin wt,
+    cos wt]] on each planar pair and the free block [[1, t/m], [0, 1]] on
+    the axial one; the planar blocks are free too where m w is 0, and keep
+    that limit at subnormal omega (`_sin_over_mw`).  Returns shape
+    (len(times), ..., 6).
+    """
+    z0 = _as_state(z0)
+    if z0.shape[-1] != 6:
+        raise ValueError("propagation path needs 6-component states")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        raise ValueError("time must be finite")
+    m, w = params.mass, params.omega
+    out = np.empty(times.shape + z0.shape)
+    pad = (...,) + (None,) * (z0.ndim - 1)
+    if m * w > 0.0:
+        s = np.sin(w * times)
+        upper = _sin_over_mw(params, times, s)[pad]
+        c, s = np.cos(w * times)[pad], s[pad]
+        for axis in (0, 1):
+            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
+            out[..., 2 * axis] = c * q + upper * p
+            out[..., 2 * axis + 1] = -m * w * s * q + c * p
+    else:
+        tgrid = times[pad]
+        for axis in (0, 1):
+            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
+            out[..., 2 * axis] = q + tgrid * p / m
+            out[..., 2 * axis + 1] = np.broadcast_to(p, out[..., 0].shape)
+    tgrid = times[pad]
+    out[..., 4] = z0[..., 4] + tgrid * z0[..., 5] / m
+    out[..., 5] = np.broadcast_to(z0[..., 5], out[..., 0].shape)
     return out
 
 
-def energy_form_2x2(params: OscParams) -> np.ndarray:
-    """Quadratic form H with 2*energy = <z, H z> on one (Q, P) pair.
-
-    diag(m w^2, 1/m).  The propagator conjugates this form to itself,
-    U(t)^T H U(t) = H, which is the invariance behind the conserved
-    homogeneous-orbit energy.
-    """
-    m, w = params.mass, params.omega
-    return np.diag([m * w * w, 1.0 / m])
+def block_propagator(params: OscParams, t: float) -> np.ndarray:
+    """6x6 matrix U(t) of `block_propagate_path`: column i is the orbit
+    of the i-th unit vector at t.  Symplectic, and it conjugates
+    `energy_form_6x6` to itself."""
+    return block_propagate_path(params, np.eye(6), t)[0].T
 
 
 def energy_form_6x6(params: OscParams) -> np.ndarray:
-    """Block-diagonal energy form matching `block_propagator` (axial block
-    has no stiffness)."""
-    h = energy_form_2x2(params)
-    out = np.zeros((6, 6))
-    out[0:2, 0:2] = h
-    out[2:4, 2:4] = h
-    out[4:6, 4:6] = np.diag([0.0, 1.0 / params.mass])
-    return out
+    """Quadratic form H with 2*energy = <z, H z>: diag(m w^2, 1/m) on each
+    planar pair, diag(0, 1/m) on the axial one.  The propagator conjugates
+    it to itself, U(t)^T H U(t) = H, which is the invariance behind the
+    conserved homogeneous-orbit energy."""
+    m, w = params.mass, params.omega
+    return np.diag([m * w * w, 1.0 / m, m * w * w, 1.0 / m, 0.0, 1.0 / m])
 
 
 def symplectic_form(dof: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .core import OscParams, QuadratureSpec
+from .core import OscParams
 from .classical import CanonicalMap, Drive, StaticField, moving_origin_map
 
 __all__ = [
@@ -646,7 +646,6 @@ class EvolvedEigenstate:
     """
 
     wavefunction: WaveFunction
-    energy: float
     dynamical_phase: float
     action_phase: float
     axial_wavenumber: float
@@ -671,7 +670,6 @@ def evolved_eigenstate(
     field: StaticField,
     grid: Grid,
     hbar: float = 1.0,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> EvolvedEigenstate:
     """Solution at time t of the charged-particle evolution whose initial
     condition is the product eigenstate `label`.
@@ -683,7 +681,7 @@ def evolved_eigenstate(
     if grid.dims != 2:
         raise ValueError("evolved eigenstates need a 2D grid")
     params = field.osc_params
-    mover = moving_origin_map(params, field.rotated_drive(), quad)
+    mover = moving_origin_map(params, field.rotated_drive())
     q_nh = np.asarray(mover.q_nh(t), dtype=float)
     p_nh = np.asarray(mover.p_nh(t), dtype=float)
     action = float(mover.phase_A(t))
@@ -702,7 +700,6 @@ def evolved_eigenstate(
     k_eff = label.k + p_nh[2] / hbar
     return EvolvedEigenstate(
         wavefunction=WaveFunction(grid=grid, values=values, hbar=hbar),
-        energy=energy,
         dynamical_phase=-energy * t / hbar,
         action_phase=action / hbar,
         axial_wavenumber=k_eff,

@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    QuadratureSpec, composite_simpson, cross_matrix, rk4_steps, rotation_about_z, stage_memo
+    _PANELS_PER_UNIT, composite_simpson, cross_matrix, rk4_steps, rotation_about_z,
+    simpson_panels, stage_memo,
 )
 from .classical import CanonicalMap, _rotate_pairs
 
@@ -82,16 +83,14 @@ class RotatingField:
     charge: float = 1.0
     mass: float = 1.0
 
-    def rate_vector(self, t: float = 0.0) -> np.ndarray:
+    def rate_vector(self, t: float) -> np.ndarray:
         """Cyclotron-scaled field vector (q/m) B(t)."""
         scale = self.charge / self.mass
         c, s = math.cos(self.alpha * t), math.sin(self.alpha * t)
         return scale * np.array([self.b1 * c, self.b1 * s, self.b3])
 
 
-def accumulated_rotation(
-    field: FixedAxisField, t: float, quad: QuadratureSpec = QuadratureSpec()
-) -> np.ndarray:
+def accumulated_rotation(field: FixedAxisField, t: float) -> np.ndarray:
     """Closed-form frame rotation for the fixed-axis case: rotation about z
     by the accumulated angle int_0^t q*B3(s)/m ds.
 
@@ -100,7 +99,7 @@ def accumulated_rotation(
     """
     if t == 0.0:
         return np.eye(3)
-    n = quad.panels(t)
+    n = simpson_panels(_PANELS_PER_UNIT, t)
     times = np.linspace(0.0, t, n + 1)
     angle = float(composite_simpson(field.rate(times), times[1] - times[0]))
     return rotation_about_z(angle)

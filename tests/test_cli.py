@@ -112,8 +112,9 @@ class TestParsing:
             ("mode = classical-equivalence\nb3 = nan\n", "b3"),
             ("mode = case1\nb3_const = inf\n", "b3_const"),
             ("mode = classical-equivalence\nb3 = 1.0\ne_field = 0, nan, 0\n", "e_field"),
+            ("mode = case2\nseed = -1\n", "seed"),
         ],
-        ids=["grid_n-100", "b3-nan", "b3_const-inf", "e_field-nan"],
+        ids=["grid_n-100", "b3-nan", "b3_const-inf", "e_field-nan", "seed--1"],
     )
     def test_bad_value_is_a_diagnostic(self, tmp_path, capsys, text, key):
         path = write(tmp_path, "bad.cfg", text)
@@ -254,6 +255,20 @@ class TestMain:
         code = main(["run", str(path), "--check-only", "--tolerance-scale", "1e-20"])
         assert code == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tolerance-scale", v) for v in ("0", "-1", "nan", "inf", "-inf")]
+        + [("--threads", v) for v in ("0", "-2")],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        # a scale that is not positive and finite would FAIL every check as
+        # if the program were wrong; a pool size below 1 is no pool size
+        path = write(tmp_path, "exp.cfg", "mode = eigenstate-expansion\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(path), "--check-only", f"{flag}={value}"])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_threaded_batch(self, tmp_path, capsys):
         a = write(tmp_path, "a.cfg", "name = aa\nmode = eigenstate-expansion\n")

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 
 from fieldosc.core import (
     OscParams,
+    block_propagate_path,
     block_propagator,
     composite_simpson,
     cumulative_simpson,
     cross_matrix,
-    energy_form_2x2,
     energy_form_6x6,
-    free_block_2x2,
-    propagator_2x2,
     rk4_steps,
     rotation_about_z,
     stage_memo,
@@ -84,47 +82,57 @@ class TestRotationAboutZ:
         assert np.max(np.abs(bad.T @ bad - np.eye(3))) > 0.1
 
 
+def planar_block(params: OscParams, t: float) -> np.ndarray:
+    """The (Q1, P1) block of the 6x6 propagator."""
+    return block_propagator(params, t)[:2, :2]
+
+
+def free_block(mass: float, t: float) -> np.ndarray:
+    """The axial (Q3, P3) block of the 6x6 propagator, always free."""
+    return block_propagator(OscParams(mass, 1.0), t)[4:, 4:]
+
+
 class TestPropagator2x2:
     def test_identity_at_zero_time(self):
-        assert np.allclose(propagator_2x2(OscParams(1.0, 1.0), 0.0), np.eye(2), atol=0)
+        assert np.allclose(planar_block(OscParams(1.0, 1.0), 0.0), np.eye(2), atol=0)
 
     def test_half_period(self):
-        u = propagator_2x2(OscParams(1.0, 2.0), math.pi / 2)
+        u = planar_block(OscParams(1.0, 2.0), math.pi / 2)
         assert np.allclose(u, [[-1.0, 0.0], [0.0, -1.0]], atol=1e-15)
 
     def test_energy_form_invariance_spot(self):
         params = OscParams(1.0, 1.3)
-        u = propagator_2x2(params, 0.7)
-        h = energy_form_2x2(params)
+        u = planar_block(params, 0.7)
+        h = energy_form_6x6(params)[:2, :2]
         assert np.max(np.abs(u.T @ h @ u - h)) <= 1e-12
 
     @given(m=st.floats(0.2, 5.0), w=st.floats(0.0, 8.0), t=st.floats(-6.0, 6.0))
     @settings(max_examples=80)
     def test_symplectic_and_invariant(self, m, w, t):
         params = OscParams(m, w)
-        u = propagator_2x2(params, t)
+        u = planar_block(params, t)
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
-        h = energy_form_2x2(params)
+        h = energy_form_6x6(params)[:2, :2]
         assert np.max(np.abs(u.T @ h @ u - h)) <= 1e-12
 
     def test_small_frequency_limit(self):
         m, t = 1.4, 2.0
-        u = propagator_2x2(OscParams(m, 1e-6), t)
-        assert np.max(np.abs(u - free_block_2x2(m, t))) <= 1e-5
+        u = planar_block(OscParams(m, 1e-6), t)
+        assert np.max(np.abs(u - free_block(m, t))) <= 1e-5
 
     @pytest.mark.parametrize("m, w", [(1.0, 5e-324), (1.0, 1e-310), (1e-10, 1e-300)])
     def test_subnormal_products_keep_free_limit(self, m, w):
         # w t (or m w) is subnormal: sin(w t)/(m w) of the quantised values
         # read 2.0 instead of 2.5 for w = 5e-324, t = 2.5
         t = 2.5
-        u = propagator_2x2(OscParams(m, w), t)
+        u = planar_block(OscParams(m, w), t)
         assert abs(u[0, 1] - t / m) <= 1e-15 * (t / m)
         assert u[0, 0] == u[1, 1] == 1.0
         assert abs(u[1, 0]) <= 1e-290
 
     def test_zero_frequency_is_free_block(self):
         assert np.array_equal(
-            propagator_2x2(OscParams(2.0, 0.0), 3.0), free_block_2x2(2.0, 3.0)
+            planar_block(OscParams(2.0, 0.0), 3.0), free_block(2.0, 3.0)
         )
 
     def test_rejects_bad_params(self):
@@ -133,12 +141,20 @@ class TestPropagator2x2:
         with pytest.raises(ValueError):
             OscParams(1.0, -0.5)
         with pytest.raises(ValueError):
-            propagator_2x2(OscParams(1.0, 1.0), math.inf)
+            block_propagator(OscParams(1.0, 1.0), math.inf)
 
 
 class TestBlockPropagator:
     def test_identity_at_zero_time(self):
         assert np.allclose(block_propagator(OscParams(1.0, 1.7), 0.0), np.eye(6), atol=0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_raises(self, bad):
+        # refused, rather than an orbit of nan and a RuntimeWarning
+        z0 = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        for w in (0.0, 1.3):
+            with pytest.raises(ValueError, match="time must be finite"):
+                block_propagate_path(OscParams(1.0, w), z0, [0.0, bad])
 
     @given(w=st.floats(0.0, 5.0), t=finite_floats, s=finite_floats)
     @settings(max_examples=60)

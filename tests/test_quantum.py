@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite import hermval
 
-from fieldosc.core import OscParams, QuadratureSpec
+from fieldosc.core import OscParams
 from fieldosc.classical import Drive, StaticField, moving_origin_map
 from fieldosc.quantum import (
     EigenLabel,
@@ -36,7 +36,7 @@ from fieldosc.quantum import (
     unitary_rotation,
 )
 
-QUAD = QuadratureSpec(panels_per_unit=2000)
+QUAD = 2000.0
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +323,7 @@ class TestSplitStep:
         psi = gaussian_wavepacket(grid, (x0,), (p0,), (0.7,))
         out = split_step_evolve(psi, driven_hamiltonian(params, drive), t, 1e-3)
         z0 = np.array([x0, p0, 0.0, 0.0, 0.0, 0.0])
-        expected = solve_driven(params, drive, z0, t, QUAD).state[0]
+        expected = solve_driven(params, drive, z0, t, QUAD)[0]
         assert abs(out.position_expectation()[0] - expected) <= 1e-5
 
     def test_eigenstate_evolves_by_pure_phase(self, grid256):
@@ -416,9 +416,7 @@ class TestEvolvedEigenstate:
         field = StaticField(b3=2.0, e=(0.0, 0.0, 0.2))
         k, t = 0.5, 1.1
         state = evolved_eigenstate(EigenLabel(0, 0, k), t, field, grid256)
-        mover = moving_origin_map(
-            field.osc_params, field.rotated_drive(), QuadratureSpec()
-        )
+        mover = moving_origin_map(field.osc_params, field.rotated_drive())
         q3, p3 = mover.q_nh(t)[2], mover.p_nh(t)[2]
         assert q3 != 0.0 and p3 != 0.0
         assert state.axial_wavenumber == pytest.approx(k + p3, abs=1e-12)
@@ -432,7 +430,7 @@ class TestEvolvedEigenstate:
         t = 0.7
         state = evolved_eigenstate(EigenLabel(0, 1), t, field, grid256)
         params = field.osc_params
-        mover = moving_origin_map(params, field.rotated_drive(), QuadratureSpec())
+        mover = moving_origin_map(params, field.rotated_drive())
         base = product_eigenstate(grid256, EigenLabel(0, 1), params)
         shifted = unitary_moving_origin(base, t, mover)
         # strip the scalar action phase: the ledger holds it separately
