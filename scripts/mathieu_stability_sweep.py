@@ -5,12 +5,13 @@ map itself is the `hill-stability` mode: `fieldosc run scenarios/hill_demo.cfg`.
 
 import argparse
 
+from fieldosc.cli import _positive_int
 from fieldosc.tdfields import bisect_stability_boundary, mathieu_hill
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n-steps", type=int, default=2048, help="RK4 steps per period")
+    parser.add_argument("--n-steps", type=_positive_int, default=2048, help="RK4 steps per period")
     args = parser.parse_args()
 
     q, n = 0.1, args.n_steps

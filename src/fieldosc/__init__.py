@@ -22,6 +22,7 @@ from .classical import (
     Drive,
     EquivalenceReport,
     FlowBlowupError,
+    MovingOrigin,
     StaticField,
     equivalence_report,
     eval_H1,

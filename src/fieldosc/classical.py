@@ -47,6 +47,7 @@ __all__ = [
     "Drive",
     "StaticField",
     "CanonicalMap",
+    "MovingOrigin",
     "EquivalenceReport",
     "FlowBlowupError",
     "eval_H1",
@@ -149,6 +150,13 @@ class Drive:
             return float(self.times[0]), float(self.times[-1])
         return None
 
+    def frequency_scale(self) -> float:
+        """Fastest rate at which the force changes: the largest |w| of a
+        sinusoid bank, or one over the smallest spacing of a table."""
+        if self.kind == "sinusoids":
+            return max((abs(w) for w, _, _ in self.terms), default=0.0)
+        return 1.0 / max(float(np.min(np.diff(self.times))), 1e-300)
+
     def scaled(self, factor: float) -> "Drive":
         if self.kind == "sinusoids":
             return Drive.sinusoids(
@@ -202,19 +210,24 @@ class StaticField:
         return self.charge * self.b3 / self.mass
 
     @property
+    def frame_rate(self) -> float:
+        """Signed angular speed of the frame that removes the magnetic
+        term: half the cyclotron rate."""
+        return 0.5 * self.cyclotron_rate
+
+    @property
     def osc_params(self) -> OscParams:
-        """Equivalent-oscillator parameters: frequency is half the
-        cyclotron rate (the rotating-frame angular speed)."""
-        return OscParams(self.mass, abs(self.cyclotron_rate) / 2.0)
+        """Equivalent-oscillator parameters: frequency |frame_rate|."""
+        return OscParams(self.mass, abs(self.frame_rate))
 
     def frame_angle(self, t) -> np.ndarray | float:
         """Rotation angle of the frame that removes the magnetic term."""
-        return 0.5 * self.cyclotron_rate * np.asarray(t, dtype=float)
+        return self.frame_rate * np.asarray(t, dtype=float)
 
     def rotated_drive(self) -> Drive:
         """Force q*E seen in the rotating frame, as a sinusoid bank."""
         e = np.asarray(self.e)
-        return Drive.rotating_constant(self.charge * e, 0.5 * self.cyclotron_rate)
+        return Drive.rotating_constant(self.charge * e, self.frame_rate)
 
 
 def eval_H1(field: StaticField, z) -> np.ndarray | float:
@@ -257,10 +270,10 @@ def h1_evaluator(fields) -> Callable:
     does); it is meant to feed `rk4_hamiltonian_flow`, which checks them.
     """
     batched = not isinstance(fields, StaticField)
-    # rows: half the cyclotron rate times m, 2m, and the three of q*E
+    # rows: the frame rate times m, 2m, and the three of q*E
     coefs = np.array(
         [
-            (0.5 * f.cyclotron_rate * f.mass, 2.0 * f.mass, *(np.asarray(f.e) * f.charge))
+            (f.frame_rate * f.mass, 2.0 * f.mass, *(np.asarray(f.e) * f.charge))
             for f in (fields if batched else [fields])
         ]
     ).T
@@ -367,17 +380,21 @@ class CanonicalMap:
     """Time-indexed phase-space diffeomorphism with its generating phase.
 
     `forward(t, z)` and `inverse(t, z)` broadcast over leading axes of z;
-    `phase_A(t)` is the scalar generating phase.  Maps produced by
-    `moving_origin_map` also expose the moving origin via `q_nh`/`p_nh`;
-    the rotating-frame map carries the drive seen in the new frame.
+    `phase_A(t)` is the scalar generating phase.
     """
 
     forward: Callable
     inverse: Callable
     phase_A: Callable
-    drive: Drive | None = None
-    q_nh: Callable | None = None
-    p_nh: Callable | None = None
+
+
+@dataclass
+class MovingOrigin(CanonicalMap):
+    """Shift onto a moving origin, which `q_nh(t)` and `p_nh(t)` expose
+    (position and momentum, three components each)."""
+
+    q_nh: Callable
+    p_nh: Callable
 
 
 def _rotate_pairs(z: np.ndarray, angle) -> np.ndarray:
@@ -398,7 +415,7 @@ def rotating_frame_map(field: StaticField) -> CanonicalMap:
     """Canonical map into the frame rotating at half the cyclotron rate.
 
     There the magnetic term disappears and the dynamics is the driven
-    oscillator with the rotated electric force (exposed as `.drive`).
+    oscillator with the rotated electric force, `field.rotated_drive()`.
     The generating phase vanishes identically for this map.
     """
 
@@ -408,19 +425,14 @@ def rotating_frame_map(field: StaticField) -> CanonicalMap:
     def inverse(t, z):
         return _rotate_pairs(_as_state(z), -field.frame_angle(t))
 
-    return CanonicalMap(
-        forward=forward,
-        inverse=inverse,
-        phase_A=lambda t: 0.0,
-        drive=field.rotated_drive(),
-    )
+    return CanonicalMap(forward=forward, inverse=inverse, phase_A=lambda t: 0.0)
 
 
 def moving_origin_map(
     params: OscParams,
     drive: Drive,
     panels_per_unit: float = _PANELS_PER_UNIT,
-) -> CanonicalMap:
+) -> MovingOrigin:
     """Canonical shift onto the forced trajectory (the moving origin).
 
     forward: (Q, P) -> (Q - Q_nh(t), P - P_nh(t)); the generating phase is
@@ -444,11 +456,10 @@ def moving_origin_map(
     def origin(t) -> np.ndarray:
         return at(float(t))[0]
 
-    return CanonicalMap(
+    return MovingOrigin(
         forward=lambda t, z: _as_state(z) - origin(t),
         inverse=lambda t, z: _as_state(z) + origin(t),
         phase_A=lambda t: at(float(t))[1],
-        drive=drive,
         q_nh=lambda t: origin(t)[0::2],
         p_nh=lambda t: origin(t)[1::2],
     )
@@ -606,7 +617,7 @@ def equivalence_report(
     z0 = _as_state(z0)
     params = field.osc_params
     frame = rotating_frame_map(field)
-    drive = frame.drive
+    drive = field.rotated_drive()
 
     steps = max(2, int(round(horizon / dt)))
     steps += steps % 2

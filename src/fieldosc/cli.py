@@ -150,20 +150,14 @@ def _parse_vec(n: int):
     return parse
 
 
-def _positive(what: str):
-    def check(value):
-        if not (value > 0):
-            raise ValueError(f"{what} must be positive")
-
-    return check
+def _positive(value):
+    if not (value > 0):
+        raise ValueError("must be positive")
 
 
-def _non_negative(what: str):
-    def check(value):
-        if not (value >= 0):
-            raise ValueError(f"{what} must be non-negative")
-
-    return check
+def _non_negative(value):
+    if not (value >= 0):
+        raise ValueError("must be non-negative")
 
 
 def _planar_field(value):
@@ -176,7 +170,7 @@ _REQUIRED = object()
 
 _COMMON_SCHEMA = {
     "name": (str, None, None),
-    "seed": (int, 0, _non_negative("seed")),
+    "seed": (int, 0, _non_negative),
 }
 
 _SCHEMAS = {
@@ -185,53 +179,53 @@ _SCHEMAS = {
         "e_field": (_parse_vec(3), (0.0, 0.0, 0.0), None),
         "z0": (_parse_vec(6), (0.1, 0.0, 0.2, 0.0, 0.0, 0.1), None),
         "charge": (_finite, 1.0, None),
-        "mass": (_finite, 1.0, _positive("mass")),
-        "horizon": (_finite, 4.0, _positive("horizon")),
-        "dt": (_finite, 1e-3, _positive("dt")),
-        "deviation_tol": (_finite, 1e-6, _positive("deviation_tol")),
+        "mass": (_finite, 1.0, _positive),
+        "horizon": (_finite, 4.0, _positive),
+        "dt": (_finite, 1e-3, _positive),
+        "deviation_tol": (_finite, 1e-6, _positive),
     },
     "quantum-pipeline": {
         "b3": (_finite, _REQUIRED, None),
         "e_field": (_parse_vec(3), (0.0, 0.0, 0.0), _planar_field),
         "grid_n": (int, 128, lambda n: Grid(dims=2, n=n, half_width=1.0)),
-        "grid_x": (_finite, 8.0, _positive("grid_x")),
-        "time": (_finite, 1.0, _positive("time")),
-        "dt": (_finite, 1e-3, _positive("dt")),
+        "grid_x": (_finite, 8.0, _positive),
+        "time": (_finite, 1.0, _positive),
+        "dt": (_finite, 1e-3, _positive),
         "center": (_parse_vec(2), (0.5, -0.3), None),
         "momentum": (_parse_vec(2), (0.3, 0.1), None),
-        "width": (_finite, 0.8, _positive("width")),
-        "hbar": (_finite, 1.0, _positive("hbar")),
-        "link_tol": (_finite, 1e-4, _positive("link_tol")),
+        "width": (_finite, 0.8, _positive),
+        "hbar": (_finite, 1.0, _positive),
+        "link_tol": (_finite, 1e-4, _positive),
     },
     "eigenstate-expansion": {
         "theta": (_finite, 0.6, None),
-        "max_level": (int, 4, _positive("max_level")),
+        "max_level": (int, 4, _positive),
     },
     "hill-stability": {
         "a_min": (_finite, 0.2, None),
         "a_max": (_finite, 2.2, None),
-        "a_count": (int, 21, _positive("a_count")),
+        "a_count": (int, 21, _positive),
         "q_min": (_finite, 0.0, None),
         "q_max": (_finite, 0.4, None),
-        "q_count": (int, 5, _positive("q_count")),
-        "n_steps": (int, 2048, _positive("n_steps")),
+        "q_count": (int, 5, _positive),
+        "n_steps": (int, 2048, _positive),
     },
     "case1": {
         "b3_const": (_finite, 1.0, None),
         "b3_cos_amp": (_finite, 0.5, None),
         "b3_cos_freq": (_finite, 1.0, None),
         "charge": (_finite, 1.0, None),
-        "mass": (_finite, 1.0, _positive("mass")),
-        "time": (_finite, 3.0, _positive("time")),
-        "ode_steps": (int, 20000, _positive("ode_steps")),
+        "mass": (_finite, 1.0, _positive),
+        "time": (_finite, 3.0, _positive),
+        "ode_steps": (int, 20000, _positive),
     },
     "case2": {
         "b1": (_finite, 0.7, None),
         "b3": (_finite, 1.1, None),
         "alpha": (_finite, 0.9, None),
         "charge": (_finite, 1.0, None),
-        "mass": (_finite, 1.0, _positive("mass")),
-        "samples": (int, 16, _positive("samples")),
+        "mass": (_finite, 1.0, _positive),
+        "samples": (int, 16, _positive),
     },
 }
 
@@ -322,24 +316,25 @@ def wavefunction_rows(wf: WaveFunction):
 # ----------------------------------------------------------------------
 # mode pipelines
 # ----------------------------------------------------------------------
-# A runner maps (scenario, tolerance scale) to (checks, {table: (header,
-# rows)}); rows are lazy, so a check-only run computes none; `run` writes.
+# A runner maps a scenario to (checks, {table: (header, rows)}) at unit
+# tolerance scale; rows are lazy, so a check-only run computes none; `run`
+# scales the tolerances and writes the tables.
 
 
-def _run_classical(sc: Scenario, scale: float):
+def _run_classical(sc: Scenario):
     p = sc.params
     field = StaticField(b3=p["b3"], e=p["e_field"], charge=p["charge"], mass=p["mass"])
     report = equivalence_report(
         field, np.array(p["z0"]), p["horizon"], dt=p["dt"], seed=p["seed"]
     )
     checks = [
-        CheckResult("equivalence-deviation", report.max_deviation, scale * p["deviation_tol"]),
-        CheckResult("homogeneous-invariant", report.invariant_drift, scale * 1e-10),
-        CheckResult("symplectic-rotating-frame", report.symplectic_defect_rotating, scale * 1e-8),
-        CheckResult("symplectic-moving-origin", report.symplectic_defect_moving, scale * 1e-8),
+        CheckResult("equivalence-deviation", report.max_deviation, p["deviation_tol"]),
+        CheckResult("homogeneous-invariant", report.invariant_drift, 1e-10),
+        CheckResult("symplectic-rotating-frame", report.symplectic_defect_rotating, 1e-8),
+        CheckResult("symplectic-moving-origin", report.symplectic_defect_moving, 1e-8),
     ]
     if all(c == 0.0 for c in p["e_field"]):
-        checks.append(CheckResult("phase-vanishes-without-e", report.phase_max_abs, scale * 1e-12))
+        checks.append(CheckResult("phase-vanishes-without-e", report.phase_max_abs, 1e-12))
 
     def trajectory():
         # the closed-form orbit, rotated back to the lab frame
@@ -356,7 +351,7 @@ def _run_classical(sc: Scenario, scale: float):
     }
 
 
-def _run_quantum(sc: Scenario, scale: float):
+def _run_quantum(sc: Scenario):
     p = sc.params
     field = StaticField(b3=p["b3"], e=p["e_field"])
     params = field.osc_params
@@ -370,26 +365,24 @@ def _run_quantum(sc: Scenario, scale: float):
     # a packet the grid cannot hold fails here, before any evolution
     check_shift_support(psi0, mover.q_nh(T)[:2])
 
-    phi3 = split_step_evolve(psi0, oscillator_hamiltonian(params, p["hbar"]), T, dt)
+    phi3 = split_step_evolve(psi0, oscillator_hamiltonian(params), T, dt)
     phi2_via = unitary_moving_origin(phi3, T, mover)
-    phi2 = split_step_evolve(psi0, driven_hamiltonian(params, drive, p["hbar"]), T, dt)
-    psi1_via = unitary_rotation(phi2, T, 0.5 * field.cyclotron_rate)
-    psi1 = split_step_evolve(psi0, planar_field_hamiltonian(field, p["hbar"]), T, dt)
+    phi2 = split_step_evolve(psi0, driven_hamiltonian(params, drive), T, dt)
+    psi1_via = unitary_rotation(phi2, T, field.frame_rate)
+    psi1 = split_step_evolve(psi0, planar_field_hamiltonian(field), T, dt)
 
     checks = [
-        CheckResult("moving-origin-link", phi2_via.distance(phi2), scale * p["link_tol"]),
-        CheckResult("rotating-frame-link", psi1_via.distance(psi1), scale * p["link_tol"]),
-        CheckResult("norm-preservation", abs(psi1.norm() - 1.0), scale * 1e-6),
+        CheckResult("moving-origin-link", phi2_via.distance(phi2), p["link_tol"]),
+        CheckResult("rotating-frame-link", psi1_via.distance(psi1), p["link_tol"]),
+        CheckResult("norm-preservation", abs(psi1.norm() - 1.0), 1e-6),
     ]
     drive_free = p["e_field"][0] == 0.0 and p["e_field"][1] == 0.0
     if drive_free:
-        checks.append(
-            CheckResult("moving-origin-identity", phi2_via.distance(phi3), scale * 1e-12)
-        )
+        checks.append(CheckResult("moving-origin-identity", phi2_via.distance(phi3), 1e-12))
     return checks, {"wavefunction": (["x", "y", "re", "im", "abs2"], wavefunction_rows(psi1))}
 
 
-def _run_expansion(sc: Scenario, scale: float):
+def _run_expansion(sc: Scenario):
     p = sc.params
     theta = p["theta"]
     rows = []
@@ -419,15 +412,15 @@ def _run_expansion(sc: Scenario, scale: float):
         ]
         degeneracy = max(degeneracy, max(energies) - min(energies))
     checks = [
-        CheckResult("level-orthogonality", ortho_defect, scale * 1e-8),
-        CheckResult("single-quantum-rotation", level1_defect, scale * 1e-10),
-        CheckResult("off-level-leakage", leak, scale * 1e-10),
-        CheckResult("degeneracy-consistency", degeneracy, scale * 1e-12),
+        CheckResult("level-orthogonality", ortho_defect, 1e-8),
+        CheckResult("single-quantum-rotation", level1_defect, 1e-10),
+        CheckResult("off-level-leakage", leak, 1e-10),
+        CheckResult("degeneracy-consistency", degeneracy, 1e-12),
     ]
     return checks, {"coefficients": (["level", "k1", "k2", "m1", "m2", "coeff"], rows)}
 
 
-def _run_hill(sc: Scenario, scale: float):
+def _run_hill(sc: Scenario):
     p = sc.params
     a_values = np.linspace(p["a_min"], p["a_max"], p["a_count"])
     q_values = np.linspace(p["q_min"], p["q_max"], p["q_count"])
@@ -450,14 +443,14 @@ def _run_hill(sc: Scenario, scale: float):
     rep = hill_monodromy(mathieu_hill(1.2, 0.25), p["n_steps"])
     det_defect = max(det_defect, abs(rep.det - 1.0))
     checks = [
-        CheckResult("monodromy-determinant", det_defect, scale * 1e-8),
-        CheckResult("constant-frequency-trace", const_defect, scale * 1e-8),
+        CheckResult("monodromy-determinant", det_defect, 1e-8),
+        CheckResult("constant-frequency-trace", const_defect, 1e-8),
     ]
     table = ((r.param1, r.param2, r.trace, r.classification) for r in rows)
     return checks, {"stability": (["param1", "param2", "trace", "classification"], table)}
 
 
-def _run_case1(sc: Scenario, scale: float):
+def _run_case1(sc: Scenario):
     p = sc.params
     const, amp, freq = p["b3_const"], p["b3_cos_amp"], p["b3_cos_freq"]
 
@@ -478,14 +471,14 @@ def _run_case1(sc: Scenario, scale: float):
     closed = accumulated_rotation(field, T)
     ortho = float(np.max(np.abs(closed.T @ closed - np.eye(3))))
     checks = [
-        CheckResult("closed-form-vs-ode", float(np.max(np.abs(closed - r))), scale * 1e-6),
-        CheckResult("rotation-orthogonality", ortho, scale * 1e-12),
+        CheckResult("closed-form-vs-ode", float(np.max(np.abs(closed - r))), 1e-6),
+        CheckResult("rotation-orthogonality", ortho, 1e-12),
     ]
     rows = ((t, *accumulated_rotation(field, float(t)).ravel()) for t in np.linspace(0.0, T, 33))
     return checks, {"rotation": (["t"] + [f"r{i}{j}" for i in range(3) for j in range(3)], rows)}
 
 
-def _run_case2(sc: Scenario, scale: float):
+def _run_case2(sc: Scenario):
     p = sc.params
     field = RotatingField(
         b1=p["b1"], b3=p["b3"], alpha=p["alpha"], charge=p["charge"], mass=p["mass"]
@@ -516,12 +509,12 @@ def _run_case2(sc: Scenario, scale: float):
         map_defect = max(map_defect, symplectic_defect(cmap3.forward, t, z))
         map_defect = max(map_defect, symplectic_defect(cmap4.forward, t, z))
     checks = [
-        CheckResult("generator-conjugation", conj, scale * 1e-10),
-        CheckResult("coriolis-antisymmetry", antisym, scale * 1e-15),
-        CheckResult("stiffness-symmetry", sym_defect, scale * 1e-12),
-        CheckResult("stiffness-positive", psd_defect, scale * 1e-10),
-        CheckResult("stiffness-period", period_defect, scale * 1e-10),
-        CheckResult("symplectic-reductions", map_defect, scale * 1e-8),
+        CheckResult("generator-conjugation", conj, 1e-10),
+        CheckResult("coriolis-antisymmetry", antisym, 1e-15),
+        CheckResult("stiffness-symmetry", sym_defect, 1e-12),
+        CheckResult("stiffness-positive", psd_defect, 1e-10),
+        CheckResult("stiffness-period", period_defect, 1e-10),
+        CheckResult("symplectic-reductions", map_defect, 1e-8),
     ]
     samples = np.linspace(0.0, period, 33)
     rows = ((t, *system.omega_sq_matrix(float(t)).ravel()) for t in samples)
@@ -544,10 +537,12 @@ def run(
     tolerance_scale: float = 1.0,
     check_only: bool = False,
 ) -> RunReport:
-    """Execute one scenario; unless check_only, write each table its runner
+    """Execute one scenario, with every check tolerance multiplied by
+    `tolerance_scale`; unless check_only, write each table its runner
     returns as the artifact `<name>_<table>.csv`, in the runner's order."""
     started = time.perf_counter()
-    checks, tables = _RUNNERS[scenario.mode](scenario, tolerance_scale)
+    checks, tables = _RUNNERS[scenario.mode](scenario)
+    checks = [CheckResult(c.name, c.defect, tolerance_scale * c.tolerance) for c in checks]
     artifacts = []
     if not check_only:
         out = Path(out_dir) if out_dir is not None else Path("out")

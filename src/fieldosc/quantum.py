@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .core import OscParams
-from .classical import CanonicalMap, Drive, StaticField, moving_origin_map
+from .classical import Drive, MovingOrigin, StaticField, moving_origin_map
 
 __all__ = [
     "Grid",
@@ -460,7 +460,7 @@ def unitary_rotation(phi: WaveFunction, t: float, rate: float) -> WaveFunction:
     return replace(phi, values=spectral_rotate(phi.values, phi.grid, float(rate) * t))
 
 
-def unitary_moving_origin(varphi: WaveFunction, t: float, cmap: CanonicalMap) -> WaveFunction:
+def unitary_moving_origin(varphi: WaveFunction, t: float, cmap: MovingOrigin) -> WaveFunction:
     """Unitary shift onto the moving origin with its phase:
     phi(Q) = exp(i (f(Q) + A)/hbar) varphi(Q - Q_nh), where
     f(Q) = <Q - Q_nh, P_nh> on the grid's axes, the first `dims` of three.
@@ -468,8 +468,6 @@ def unitary_moving_origin(varphi: WaveFunction, t: float, cmap: CanonicalMap) ->
     The quantized image of the classical shift: positions map to shifted
     positions and momenta pick up m * dQ_nh/dt.
     """
-    if cmap.q_nh is None or cmap.p_nh is None:
-        raise ValueError("canonical map does not expose a moving origin")
     dims = varphi.grid.dims
     q_nh = np.asarray(cmap.q_nh(t), dtype=float)[:dims]
     p_nh = np.asarray(cmap.p_nh(t), dtype=float)[:dims]
@@ -491,51 +489,39 @@ def unitary_moving_origin(varphi: WaveFunction, t: float, cmap: CanonicalMap) ->
 @dataclass(frozen=True)
 class GridHamiltonian:
     """Quadratic grid Hamiltonian: kinetic + (stiffness/2)|x|^2
-    - <x, drive(t)> - rotation_rate * L_z (planar angular momentum)."""
+    - <x, drive(t)> - rotation_rate * L_z (planar angular momentum).
+    It holds no hbar: the wavefunction it acts on carries that."""
 
     mass: float
-    hbar: float = 1.0
     stiffness: float = 0.0
     rotation_rate: float = 0.0
     drive: Drive | None = None
 
 
-def oscillator_hamiltonian(params: OscParams, hbar: float = 1.0) -> GridHamiltonian:
-    return GridHamiltonian(
-        mass=params.mass, hbar=hbar, stiffness=params.mass * params.omega**2
-    )
+def oscillator_hamiltonian(params: OscParams) -> GridHamiltonian:
+    return GridHamiltonian(mass=params.mass, stiffness=params.mass * params.omega**2)
 
 
-def driven_hamiltonian(
-    params: OscParams, drive: Drive, hbar: float = 1.0
-) -> GridHamiltonian:
+def driven_hamiltonian(params: OscParams, drive: Drive) -> GridHamiltonian:
     return GridHamiltonian(
         mass=params.mass,
-        hbar=hbar,
         stiffness=params.mass * params.omega**2,
         drive=drive,
     )
 
 
-def planar_field_hamiltonian(field: StaticField, hbar: float = 1.0) -> GridHamiltonian:
-    """Planar part of the charged-particle Hamiltonian: oscillator at half
-    the cyclotron rate, the matching angular-momentum term, and the static
-    planar electric force."""
+def planar_field_hamiltonian(field: StaticField) -> GridHamiltonian:
+    """Planar part of the charged-particle Hamiltonian: oscillator at the
+    frame rate (half the cyclotron rate), the matching angular-momentum
+    term, and the static planar electric force."""
     params = field.osc_params
     e = np.asarray(field.e)
     return GridHamiltonian(
         mass=field.mass,
-        hbar=hbar,
         stiffness=field.mass * params.omega**2,
-        rotation_rate=0.5 * field.cyclotron_rate,
+        rotation_rate=field.frame_rate,
         drive=Drive.constant(field.charge * np.array([e[0], e[1], 0.0])),
     )
-
-
-def _drive_frequency_scale(drive: Drive) -> float:
-    if drive.kind == "sinusoids":
-        return max((abs(w) for w, _, _ in drive.terms), default=0.0)
-    return 1.0 / max(float(np.min(np.diff(drive.times))), 1e-300)
 
 
 def split_step_evolve(
@@ -548,7 +534,7 @@ def split_step_evolve(
     potential factors; each step is unitary to roundoff.
 
     Time-dependent drives are sampled at the step boundaries (second-order
-    accurate); psi0 is the state at time 0.  The planar
+    accurate); psi0 is the state at time 0 and carries the hbar.  The planar
     angular-momentum term is applied as an exact per-step rotation, which
     commutes with the kinetic factor.
     """
@@ -556,13 +542,13 @@ def split_step_evolve(
         raise ValueError("dt must be positive")
     steps = max(1, int(round(t / dt)))
     h = t / steps
-    if ham.drive is not None and _drive_frequency_scale(ham.drive) * h > 0.5:
+    if ham.drive is not None and ham.drive.frequency_scale() * h > 0.5:
         raise ValueError("dt too coarse for the drive's time scale")
     if ham.rotation_rate != 0.0 and psi0.grid.dims != 2:
         raise ValueError("angular-momentum term needs a 2D grid")
 
     grid = psi0.grid
-    hbar = ham.hbar
+    hbar = psi0.hbar
     kinetic_phase = np.exp(-1j * h * hbar * grid.wavenumbers_sq() / (2.0 * ham.mass))
 
     ax = grid.axis()

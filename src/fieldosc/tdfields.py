@@ -165,16 +165,13 @@ class ReducedQuadraticHamiltonian:
         P^2/2m - <P, M Q> + (m/8) <Q, W0^T W0 Q> - q <Q, E1(t)>
 
     with M = W0/2 + L antisymmetric (L the frame generator) and
-    E1(t) = R(-alpha t) E0(t).  `axis` and `speed` describe the rotation
-    group generated by M.
+    E1(t) = R(-alpha t) E0(t); m, q, alpha and E0 are the `field`'s.
+    `axis` and `speed` describe the rotation group generated by M.
     """
 
-    mass: float
-    charge: float
+    field: RotatingField
     coriolis: np.ndarray
     omega1_0: np.ndarray
-    alpha: float
-    e0: Callable | None = None
 
     @property
     def stiffness_form(self) -> np.ndarray:
@@ -197,18 +194,20 @@ class ReducedQuadraticHamiltonian:
         return v / s if s > 0 else v
 
     def rotated_e1(self, t: float) -> np.ndarray:
-        if self.e0 is None:
+        e0 = self.field.e0
+        if e0 is None:
             return np.zeros(3)
-        return rotation_about_z(-self.alpha * t) @ np.asarray(self.e0(t), dtype=float)
+        return rotation_about_z(-self.field.alpha * t) @ np.asarray(e0(t), dtype=float)
 
     def value(self, z, t) -> np.ndarray:
+        m = self.field.mass
         q_ = z[..., 0::2]
         p_ = z[..., 1::2]
-        kinetic = np.sum(p_ * p_, axis=-1) / (2.0 * self.mass)
+        kinetic = np.sum(p_ * p_, axis=-1) / (2.0 * m)
         cross = -np.sum(p_ * (q_ @ self.coriolis.T), axis=-1)
         w = self.stiffness_form
-        potential = (self.mass / 8.0) * np.sum(q_ * (q_ @ w.T), axis=-1)
-        electric = -self.charge * (q_ @ self.rotated_e1(float(t)))
+        potential = (m / 8.0) * np.sum(q_ * (q_ @ w.T), axis=-1)
+        electric = -self.field.charge * (q_ @ self.rotated_e1(float(t)))
         return kinetic + cross + potential + electric
 
 
@@ -220,14 +219,7 @@ def corotating_reduction(field: RotatingField) -> tuple[ReducedQuadraticHamilton
     """
     w0 = rotating_field_generator(field, 0.0)
     lam = cross_matrix((0.0, 0.0, field.alpha))
-    reduced = ReducedQuadraticHamiltonian(
-        mass=field.mass,
-        charge=field.charge,
-        coriolis=0.5 * w0 + lam,
-        omega1_0=w0,
-        alpha=field.alpha,
-        e0=field.e0,
-    )
+    reduced = ReducedQuadraticHamiltonian(field=field, coriolis=0.5 * w0 + lam, omega1_0=w0)
 
     def forward(t, z):
         return _rotate_pairs(np.asarray(z, dtype=float), -field.alpha * t)

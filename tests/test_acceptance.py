@@ -116,7 +116,7 @@ class TestSymplecticity:
         quad = 2000.0
         field = StaticField(b3=2.1, e=(0.12, -0.2, 0.15))
         frame = rotating_frame_map(field)
-        mover = moving_origin_map(field.osc_params, frame.drive, quad)
+        mover = moving_origin_map(field.osc_params, field.rotated_drive(), quad)
         rot_field = RotatingField(b1=0.7, b3=1.1, alpha=0.9)
         reduced, corotating = corotating_reduction(rot_field)
         _, eliminator = coriolis_elimination(reduced)
@@ -240,7 +240,7 @@ class TestSpectrum:
         started = time.perf_counter()
         grid = Grid(dims=2, n=256, half_width=8.0)
         params = OscParams(1.0, 1.0)
-        ham = oscillator_hamiltonian(params, 1.0)
+        ham = oscillator_hamiltonian(params)
         worst = 0.0
         for total in range(4):
             for n1 in range(total + 1):

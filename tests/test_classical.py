@@ -200,7 +200,7 @@ class TestHamiltonians:
                 py = -s * p_new[0] + c * p_new[1]
                 return z[0] * px + z[2] * py + z[4] * p_new[2]
 
-            lhs = eval_H2(params, frame.drive, mapped, t)
+            lhs = eval_H2(params, field.rotated_drive(), mapped, t)
             rhs = eval_H1(field, z) + fourth_order_dt(gen, t, h=1e-4)
             assert abs(lhs - rhs) <= 1e-10
 
@@ -302,7 +302,7 @@ class TestRotatingFrameMap:
 
     def test_rotated_field_matches_half_angle_rotation(self):
         field = StaticField(b3=1.6, e=(0.2, -0.3, 0.4), charge=1.5)
-        drive = rotating_frame_map(field).drive
+        drive = field.rotated_drive()
         for t in (0.0, 0.9, 2.7):
             expected = 1.5 * (rotation_about_z(field.frame_angle(t)) @ np.array(field.e))
             assert np.allclose(drive(t), expected, atol=1e-14)
@@ -520,7 +520,7 @@ class TestEndToEndEquivalence:
         horizon = 3.0
         times, path = rk4_hamiltonian_flow(h1_evaluator(field), z0, horizon, 1e-3)
         frame = rotating_frame_map(field)
-        mover = moving_origin_map(params, frame.drive, 1000.0)
+        mover = moving_origin_map(params, field.rotated_drive(), 1000.0)
         reference = block_propagate_path(params, z0, times)
         for idx in (300, 1500, 3000):
             mapped = mover.forward(times[idx], frame.forward(times[idx], path[idx]))

@@ -58,7 +58,7 @@ class TestParsing:
             "bad.cfg",
             "mode = classical-equivalence\nb3 = 1.0\nhorizon = -1\n",
         )
-        with pytest.raises(ScenarioError, match="horizon must be positive"):
+        with pytest.raises(ScenarioError, match="key 'horizon': must be positive"):
             parse_scenario(path)
 
     def test_unknown_key_reported_with_line(self, tmp_path):
@@ -202,6 +202,16 @@ class TestRunners:
         names = {c.name for c in report.checks}
         assert "moving-origin-identity" in names
 
+    def test_quantum_pipeline_at_hbar_two(self, tmp_path, capsys):
+        path = write(
+            tmp_path,
+            "q.cfg",
+            "mode = quantum-pipeline\nb3 = 2.0\ne_field = 0.1, -0.05, 0\n"
+            "grid_n = 64\ntime = 0.3\nhbar = 2.0\n",
+        )
+        assert main(["run", str(path), "--check-only"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_tables_written_in_runner_order(self, tmp_path):
         path = write(
             tmp_path, "cls.cfg", "mode = classical-equivalence\nb3 = 1.5\nhorizon = 0.5\n"
@@ -324,6 +334,17 @@ class TestMain:
         assert proc.returncode == 3
         assert "[FAIL] blowup: error (FlowBlowupError: " in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_sweep_step_count_is_a_usage_error(self, value):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "mathieu_stability_sweep.py"
+        env = dict(os.environ, PYTHONPATH=str(Path(fieldosc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, str(script), f"--n-steps={value}"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "--n-steps" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_duplicate_names_rejected(self, tmp_path, capsys):
         a = write(tmp_path, "a.cfg", "name = same\nmode = eigenstate-expansion\n")

@@ -337,6 +337,18 @@ class TestSplitStep:
         # inner(out, psi) = conj(<psi|out>) = exp(+i E t)
         assert abs(overlap - np.exp(1j * energy * t)) <= 1e-5
 
+    def test_evolution_keeps_the_packets_hbar(self):
+        # the grid Hamiltonian holds no hbar: the packet's hbar = 2 drives
+        # the evolution, so the energy is conserved at that hbar
+        grid = Grid(dims=2, n=64, half_width=8.0)
+        params = OscParams(1.0, 1.0)
+        ham = oscillator_hamiltonian(params)
+        psi = gaussian_wavepacket(grid, (0.5, -0.3), (0.3, 0.1), 0.8, hbar=2.0)
+        out = split_step_evolve(psi, ham, 1.0, 1e-3)
+        assert out.hbar == 2.0
+        before = energy_expectation(psi, ham)
+        assert abs(energy_expectation(out, ham) - before) <= 1e-6 * before
+
     def test_unitary_per_run(self, grid256):
         field = StaticField(b3=2.0, e=(0.1, 0.0, 0.0))
         psi = gaussian_wavepacket(grid256, (0.5, 0.0), (0.0, 0.2), 0.8)
@@ -346,9 +358,12 @@ class TestSplitStep:
     def test_drive_timescale_guard(self):
         grid = Grid(dims=1, n=64, half_width=8.0)
         psi = gaussian_wavepacket(grid, (0.0,), (0.0,), (1.0,))
-        fast = Drive.sinusoids([(200.0, (0.1, 0.0, 0.0), (0.0, 0.0, 0.0))])
-        with pytest.raises(ValueError, match="time scale"):
-            split_step_evolve(psi, driven_hamiltonian(OscParams(), fast), 1.0, 0.1)
+        fast_sinusoid = Drive.sinusoids([(200.0, (0.1, 0.0, 0.0), (0.0, 0.0, 0.0))])
+        times = np.linspace(0.0, 1.0, 101)  # spacing 0.01
+        fast_table = Drive.sampled(times, np.outer(np.sin(times), (0.1, 0.0, 0.0)))
+        for fast in (fast_sinusoid, fast_table):
+            with pytest.raises(ValueError, match="time scale"):
+                split_step_evolve(psi, driven_hamiltonian(OscParams(), fast), 1.0, 0.1)
 
 
 class TestPipelineLinks:
