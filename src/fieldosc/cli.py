@@ -292,6 +292,8 @@ def parse_scenario(path) -> Scenario:
 
 def _fmt(value) -> str:
     # 17 significant digits: round-trip exact for float64
+    if type(value) is float:
+        return format(value, ".16e")
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -303,14 +305,22 @@ def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def wavefunction_rows(wf: WaveFunction):
-    """Rows (x[, y], re, im, abs2) of a wavefunction snapshot, row-major."""
-    points = itertools.product(wf.grid.axis(), repeat=wf.grid.dims)
-    for xs, v in zip(points, wf.values.ravel()):
-        yield (*xs, v.real, v.imag, abs(v) ** 2)
+    """Rows (x[, y], re, im, abs2) of a wavefunction snapshot, row-major.
+    The coordinates come formatted, each once; the amplitudes are Python
+    complexes, whose abs2 `abs(v) ** 2` has the bits of numpy's scalar
+    one (an overflow reads inf, as numpy's does)."""
+    axis = [_fmt(x) for x in wf.grid.axis().tolist()]
+    points = itertools.product(axis, repeat=wf.grid.dims)
+    for xs, v in zip(points, wf.values.ravel().tolist()):
+        try:
+            abs2 = abs(v) ** 2
+        except OverflowError:
+            abs2 = math.inf
+        yield (*xs, v.real, v.imag, abs2)
 
 
 # ----------------------------------------------------------------------

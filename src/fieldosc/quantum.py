@@ -322,23 +322,26 @@ def rotated_product_coefficients(
 # ----------------------------------------------------------------------
 
 
-def _fourier_multiply(values: np.ndarray, axis: int, factor) -> np.ndarray:
-    """ifft(fft(values) * factor) along one axis; `factor` broadcasts
-    against the transform."""
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * factor, axis=axis)
+def _fourier_multiply(values: np.ndarray, axis: int, factor) -> None:
+    """values <- ifft(fft(values) * factor) along one axis, in place on a
+    complex array the caller owns; `factor` broadcasts against the
+    transform."""
+    np.fft.fft(values, axis=axis, out=values)
+    values *= factor
+    np.fft.ifft(values, axis=axis, out=values)
 
 
 def spectral_shift(values: np.ndarray, grid: Grid, displacement) -> np.ndarray:
     """Samples of f(x - d): FFT phase ramp per axis (exact for the
     band-limited interpolant)."""
     displacement = np.atleast_1d(np.asarray(displacement, dtype=float))
-    out = np.asarray(values, dtype=complex)
+    out = np.array(values, dtype=complex)
     k = grid.wavenumbers()
     for axis, d in enumerate(displacement):
         if d == 0.0:
             continue
         phase = np.exp(-1j * k * d)
-        out = _fourier_multiply(out, axis, phase.reshape((-1,) + (1,) * (out.ndim - 1 - axis)))
+        _fourier_multiply(out, axis, phase.reshape((-1,) + (1,) * (out.ndim - 1 - axis)))
     return out
 
 
@@ -370,14 +373,18 @@ class _RotationPlan:
             )
 
     def apply(self, values: np.ndarray) -> np.ndarray:
+        """The rotated samples.  The shears run in place, so `values`
+        must be a complex array the caller owns and may lose."""
         out = values
         for _ in range(self.quarters):
             out = _quarter_pullback(out)
+        if self.quarters:
+            out = np.ascontiguousarray(out)
         if self.phases is not None:
             shear_x, shear_y = self.phases
-            out = _fourier_multiply(out, 0, shear_x)
-            out = _fourier_multiply(out, 1, shear_y)
-            out = _fourier_multiply(out, 0, shear_x)
+            _fourier_multiply(out, 0, shear_x)
+            _fourier_multiply(out, 1, shear_y)
+            _fourier_multiply(out, 0, shear_x)
         return out
 
 
@@ -385,7 +392,7 @@ def spectral_rotate(values: np.ndarray, grid: Grid, angle: float) -> np.ndarray:
     """Samples of f(R(angle) x) on a 2D grid, exact for band-limited data."""
     if values.ndim != 2:
         raise ValueError("rotation needs a 2D grid")
-    return _RotationPlan(grid, angle).apply(np.asarray(values, dtype=complex))
+    return _RotationPlan(grid, angle).apply(np.array(values, dtype=complex))
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +549,8 @@ def split_step_evolve(
         raise ValueError("dt must be positive")
     steps = max(1, int(round(t / dt)))
     h = t / steps
-    if ham.drive is not None and ham.drive.frequency_scale() * h > 0.5:
+    drive_rate = ham.drive.frequency_scale() if ham.drive is not None else 0.0
+    if drive_rate * h > 0.5:
         raise ValueError("dt too coarse for the drive's time scale")
     if ham.rotation_rate != 0.0 and psi0.grid.dims != 2:
         raise ValueError("angular-momentum term needs a 2D grid")
@@ -556,7 +564,8 @@ def split_step_evolve(
     harm_full = harm_half * harm_half
 
     def potential_factor(time: float, tau: float):
-        # separable per-axis factors: harmonic + linear drive
+        # separable per-axis factors: harmonic + linear drive, each shaped
+        # to broadcast along its own axis
         factors = []
         base = harm_half if tau < h else harm_full
         force = ham.drive(time) if ham.drive is not None else None
@@ -564,24 +573,31 @@ def split_step_evolve(
             f = base
             if force is not None and force[axis] != 0.0:
                 f = f * np.exp(1j * tau * ax * force[axis] / hbar)
-            factors.append(f)
+            factors.append(f.reshape((-1,) + (1,) * (grid.dims - 1 - axis)))
         return factors
 
-    def apply_axis_factors(values, factors):
-        for axis, f in enumerate(factors):
-            values = values * f.reshape((-1,) + (1,) * (grid.dims - 1 - axis))
-        return values
+    # a force that does not change gives the same full-step factors at
+    # every step
+    full_step = potential_factor(h, h) if drive_rate == 0.0 else None
 
     angle = ham.rotation_rate * h
     rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
-    values = np.asarray(psi0.values, dtype=complex)
-    values = apply_axis_factors(values, potential_factor(0.0, 0.5 * h))
+    values = np.array(psi0.values, dtype=complex)
+    for f in potential_factor(0.0, 0.5 * h):
+        values *= f
     for i in range(steps):
-        values = np.fft.ifftn(np.fft.fftn(values) * kinetic_phase)
+        np.fft.fftn(values, out=values)
+        values *= kinetic_phase
+        np.fft.ifftn(values, out=values)
         if rotation is not None:
             values = rotation.apply(values)
         tau = h if i < steps - 1 else 0.5 * h
-        values = apply_axis_factors(values, potential_factor((i + 1) * h, tau))
+        if tau == h and full_step is not None:
+            factors = full_step
+        else:
+            factors = potential_factor((i + 1) * h, tau)
+        for f in factors:
+            values *= f
     return replace(psi0, values=values)
 
 
@@ -600,8 +616,10 @@ def apply_hamiltonian(psi: WaveFunction, ham: GridHamiltonian, t: float = 0.0) -
     if ham.rotation_rate != 0.0:
         k = grid.wavenumbers()
         x, y = coords
-        dx = _fourier_multiply(values, 0, 1j * k[:, None])
-        dy = _fourier_multiply(values, 1, 1j * k)
+        dx = np.array(values, dtype=complex)
+        _fourier_multiply(dx, 0, 1j * k[:, None])
+        dy = np.array(values, dtype=complex)
+        _fourier_multiply(dy, 1, 1j * k)
         lz = -1j * hbar * (x * dy - y * dx)
         out = out - ham.rotation_rate * lz
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import re
@@ -397,17 +398,30 @@ class TestWavefunctionExport:
         rows = list(wavefunction_rows(wf))
         assert len(rows) == 256
         assert len(rows[0]) == 5
-        # the rows of a per-axis nested loop, value for value and type for
-        # type, so the CSV stays byte-identical
-        wf = gaussian_wavepacket(grid, (0.3, -0.2), (0.4, 0.1), 0.5)
-        ax, values = grid.axis(), wf.values
-        reference = [
-            (ax[i], ax[j], values[i, j].real, values[i, j].imag, abs(values[i, j]) ** 2)
-            for i in range(grid.n)
-            for j in range(grid.n)
-        ]
-        rows = list(wavefunction_rows(wf))
-        assert len(rows) == len(reference)
-        for row, ref in zip(rows, reference):
-            assert row == ref
-            assert [type(v) for v in row] == [type(v) for v in ref]
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_artifact_bytes_match_per_value_formatting(self, tmp_path, dims):
+        # the artifact is byte for byte what a per-axis nested loop over
+        # numpy scalars writes, each formatted by format(float(v), ".16e"),
+        # including -0.0, the smallest subnormal, and an abs2 that
+        # overflows to inf
+        grid = Grid(dims=dims, n=16, half_width=2.0)
+        wf = gaussian_wavepacket(grid, (0.3, -0.2)[:dims], (0.4, 0.1)[:dims], 0.5)
+        values = wf.values.copy()
+        flat = values.reshape(-1)
+        flat[:5] = [-0.0, complex(-0.0, -0.0), 5e-324, 1e-300, 1e300]
+        flat[5] = complex(1e300, -1e300)
+        wf = dataclasses.replace(wf, values=values)
+        header = ["x", "y", "re", "im", "abs2"][2 - dims :]
+        path = tmp_path / "wavefunction.csv"
+        cli._write_csv(path, header, wavefunction_rows(wf))
+
+        ax = grid.axis()
+        lines = [",".join(header)]
+        with np.errstate(over="ignore"):
+            for index in np.ndindex(values.shape):
+                v = values[index]
+                row = [ax[i] for i in index] + [v.real, v.imag, abs(v) ** 2]
+                lines.append(",".join(format(float(x), ".16e") for x in row))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        assert b",inf\n" in path.read_bytes()

@@ -34,6 +34,7 @@ from fieldosc.quantum import (
     split_step_evolve,
     unitary_moving_origin,
     unitary_rotation,
+    _RotationPlan,
 )
 
 QUAD = 2000.0
@@ -364,6 +365,161 @@ class TestSplitStep:
         for fast in (fast_sinusoid, fast_table):
             with pytest.raises(ValueError, match="time scale"):
                 split_step_evolve(psi, driven_hamiltonian(OscParams(), fast), 1.0, 0.1)
+
+
+def _reference_rotate(plan, values):
+    """A rotation plan applied out of place, in its first form."""
+    out = values
+    for _ in range(plan.quarters):
+        out = out.T[:, ::-1]
+    if plan.phases is not None:
+        shear_x, shear_y = plan.phases
+        out = np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
+        out = np.fft.ifft(np.fft.fft(out, axis=1) * shear_y, axis=1)
+        out = np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
+    return out
+
+
+def _reference_split_step(psi0, ham, t, dt):
+    """The split-step loop in its first, out-of-place form: a new array
+    for every transform and factor product, factors rebuilt every step."""
+    steps = max(1, int(round(t / dt)))
+    h = t / steps
+    grid = psi0.grid
+    hbar = psi0.hbar
+    kinetic_phase = np.exp(-1j * h * hbar * grid.wavenumbers_sq() / (2.0 * ham.mass))
+
+    ax = grid.axis()
+    harm_half = np.exp(-1j * (0.5 * h) * 0.5 * ham.stiffness * ax**2 / hbar)
+    harm_full = harm_half * harm_half
+
+    def potential_factor(time, tau):
+        factors = []
+        base = harm_half if tau < h else harm_full
+        force = ham.drive(time) if ham.drive is not None else None
+        for axis in range(grid.dims):
+            f = base
+            if force is not None and force[axis] != 0.0:
+                f = f * np.exp(1j * tau * ax * force[axis] / hbar)
+            factors.append(f)
+        return factors
+
+    def apply_axis_factors(values, factors):
+        for axis, f in enumerate(factors):
+            values = values * f.reshape((-1,) + (1,) * (grid.dims - 1 - axis))
+        return values
+
+    angle = ham.rotation_rate * h
+    rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
+    values = np.asarray(psi0.values, dtype=complex)
+    values = apply_axis_factors(values, potential_factor(0.0, 0.5 * h))
+    for i in range(steps):
+        values = np.fft.ifftn(np.fft.fftn(values) * kinetic_phase)
+        if rotation is not None:
+            values = _reference_rotate(rotation, values)
+        tau = h if i < steps - 1 else 0.5 * h
+        values = apply_axis_factors(values, potential_factor((i + 1) * h, tau))
+    return values
+
+
+_BIT_FIELD = StaticField(b3=2.6, e=(0.12, -0.08, 0.0))
+# frame rate 100: a 0.01 step turns by 1 rad > pi/4, so every step takes
+# a quarter turn before its shears
+_QUARTER_FIELD = StaticField(b3=200.0, e=(0.3, 0.1, 0.0))
+_TABLE_TIMES = np.linspace(0.0, 1.0, 201)
+_SPLIT_CASES = {
+    "oscillator": (oscillator_hamiltonian(_BIT_FIELD.osc_params), 1e-3),
+    "sinusoid-driven": (
+        driven_hamiltonian(_BIT_FIELD.osc_params, _BIT_FIELD.rotated_drive()),
+        1e-3,
+    ),
+    "sampled-driven": (
+        driven_hamiltonian(
+            _BIT_FIELD.osc_params,
+            Drive.sampled(_TABLE_TIMES, np.outer(np.sin(3.0 * _TABLE_TIMES), (0.2, -0.1, 0.0))),
+        ),
+        2e-3,
+    ),
+    "planar": (planar_field_hamiltonian(_BIT_FIELD), 1e-3),
+    "planar-quarter-turn": (planar_field_hamiltonian(_QUARTER_FIELD), 1e-2),
+}
+
+
+class TestSplitStepBits:
+    """The split-step evolution is the out-of-place loop to the last bit."""
+
+    @pytest.mark.parametrize("kind", sorted(_SPLIT_CASES))
+    def test_matches_out_of_place_loop(self, kind):
+        ham, dt = _SPLIT_CASES[kind]
+        grid = Grid(dims=2, n=32, half_width=8.0)
+        psi0 = gaussian_wavepacket(grid, (0.5, -0.3), (0.3, 0.1), 0.8, hbar=1.3)
+        got = split_step_evolve(psi0, ham, 0.2, dt).values
+        assert np.array_equal(got, _reference_split_step(psi0, ham, 0.2, dt))
+
+    def test_quarter_turn_case_takes_both_rotation_paths(self):
+        ham, dt = _SPLIT_CASES["planar-quarter-turn"]
+        plan = _RotationPlan(Grid(dims=2, n=32, half_width=8.0), ham.rotation_rate * dt)
+        assert plan.quarters != 0 and plan.phases is not None
+
+    def test_one_dimensional_matches_out_of_place_loop(self):
+        grid = Grid(dims=1, n=64, half_width=10.0)
+        psi0 = gaussian_wavepacket(grid, (0.6,), (-0.2,), (0.7,))
+        constant = Drive.constant((0.3, 0.0, 0.0))
+        sinusoid = Drive.sinusoids([(0.8, (0.3, 0.0, 0.0), (0.0, 0.0, 0.0))])
+        for drive in (constant, sinusoid):
+            ham = driven_hamiltonian(OscParams(1.0, 1.2), drive)
+            got = split_step_evolve(psi0, ham, 0.1, 1e-3).values
+            assert np.array_equal(got, _reference_split_step(psi0, ham, 0.1, 1e-3))
+
+
+class TestInputsNeverWritten:
+    """The spectral passes work in place on buffers of their own; the
+    arrays a caller hands in keep every bit."""
+
+    grid = Grid(dims=2, n=32, half_width=8.0)
+
+    def packet(self):
+        return gaussian_wavepacket(self.grid, (0.5, -0.3), (0.3, 0.1), 0.8)
+
+    @pytest.mark.parametrize("kind", sorted(_SPLIT_CASES))
+    def test_split_step_evolve(self, kind):
+        ham, dt = _SPLIT_CASES[kind]
+        psi0 = self.packet()
+        before = psi0.values.copy()
+        split_step_evolve(psi0, ham, 0.05, dt)
+        assert np.array_equal(psi0.values, before)
+
+    def test_spectral_shift(self):
+        values = self.packet().values
+        before = values.copy()
+        spectral_shift(values, self.grid, (0.4, -0.2))
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("angle", [0.3, 2.0])
+    def test_spectral_rotate(self, angle):
+        values = self.packet().values
+        before = values.copy()
+        spectral_rotate(values, self.grid, angle)
+        assert np.array_equal(values, before)
+
+    def test_unitary_rotation(self):
+        phi = self.packet()
+        before = phi.values.copy()
+        unitary_rotation(phi, 0.4, _BIT_FIELD.frame_rate)
+        assert np.array_equal(phi.values, before)
+
+    def test_unitary_moving_origin(self):
+        varphi = self.packet()
+        before = varphi.values.copy()
+        mover = moving_origin_map(_BIT_FIELD.osc_params, _BIT_FIELD.rotated_drive(), QUAD)
+        unitary_moving_origin(varphi, 0.4, mover)
+        assert np.array_equal(varphi.values, before)
+
+    def test_apply_hamiltonian(self):
+        psi = self.packet()
+        before = psi.values.copy()
+        apply_hamiltonian(psi, planar_field_hamiltonian(_BIT_FIELD), 0.3)
+        assert np.array_equal(psi.values, before)
 
 
 class TestPipelineLinks:
