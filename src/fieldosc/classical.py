@@ -6,7 +6,7 @@ Three Hamiltonians are handled:
   electric field,
 * ``H2`` -- a planar harmonic oscillator driven by a spatially constant,
   time-dependent force,
-* ``H3`` -- the plain planar oscillator.
+* ``H3`` -- the plain planar oscillator, which is H2 at `Drive.zero()`.
 
 Phase-space points are plain numpy arrays in the *interleaved* layout
 ``(Q1, P1, Q2, P2, Q3, P3)`` (or ``(Q, P)`` for one degree of freedom);
@@ -52,12 +52,11 @@ __all__ = [
     "FlowBlowupError",
     "eval_H1",
     "eval_H2",
-    "eval_H3",
     "h1_evaluator",
     "h2_evaluator",
-    "h3_evaluator",
     "solve_driven",
     "forced_path",
+    "frame_rotation",
     "rotating_frame_map",
     "moving_origin_map",
     "rk4_hamiltonian_flow",
@@ -84,19 +83,13 @@ class FlowBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class Drive:
-    """Spatially constant force k(t), one of two concrete forms.
-
-    ``sinusoids``: a bank of terms ``cos_amp*cos(w t) + sin_amp*sin(w t)``;
-    a constant force is one term of frequency 0.  ``sampled``: a table
-    with linear interpolation, evaluable only inside its time window.
-    Calling with a scalar returns shape (3,); with an array of times,
-    shape (..., 3).
+    """Spatially constant force k(t): a bank of terms
+    ``cos_amp*cos(w t) + sin_amp*sin(w t)``, in which a constant force is
+    one term of frequency 0.  Calling with a scalar returns shape (3,);
+    with an array of times, shape (..., 3).
     """
 
-    kind: str
-    terms: tuple = ()
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
+    terms: tuple
 
     @classmethod
     def zero(cls) -> "Drive":
@@ -106,23 +99,19 @@ class Drive:
     def constant(cls, force) -> "Drive":
         """A fixed force: one zero-frequency term (a -0.0 component
         evaluates to +0.0)."""
-        f = np.asarray(force, dtype=float).reshape(3)
-        if not np.all(np.isfinite(f)):
-            raise ValueError("constant drive must be finite")
-        return cls.sinusoids([(0.0, f, np.zeros(3))])
+        return cls.sinusoids([(0.0, force, np.zeros(3))])
 
     @classmethod
     def sinusoids(cls, terms: Sequence) -> "Drive":
         packed = []
         for w, cos_amp, sin_amp in terms:
-            packed.append(
-                (
-                    float(w),
-                    np.asarray(cos_amp, dtype=float).reshape(3),
-                    np.asarray(sin_amp, dtype=float).reshape(3),
-                )
-            )
-        return cls(kind="sinusoids", terms=tuple(packed))
+            w = float(w)
+            cos_amp = np.asarray(cos_amp, dtype=float).reshape(3)
+            sin_amp = np.asarray(sin_amp, dtype=float).reshape(3)
+            if not (math.isfinite(w) and np.isfinite((cos_amp, sin_amp)).all()):
+                raise ValueError("drive frequencies and amplitudes must be finite")
+            packed.append((w, cos_amp, sin_amp))
+        return cls(terms=tuple(packed))
 
     @classmethod
     def rotating_constant(cls, vec, rate: float) -> "Drive":
@@ -135,54 +124,17 @@ class Drive:
             ]
         )
 
-    @classmethod
-    def sampled(cls, times, values) -> "Drive":
-        t = np.asarray(times, dtype=float)
-        v = np.asarray(values, dtype=float)
-        if t.ndim != 1 or v.shape != (t.size, 3):
-            raise ValueError("sampled drive needs times (N,) and values (N, 3)")
-        if t.size < 2 or np.any(np.diff(t) <= 0):
-            raise ValueError("sampled drive times must be strictly increasing")
-        return cls(kind="sampled", times=t, values=v)
-
-    def window(self) -> tuple[float, float] | None:
-        if self.kind == "sampled":
-            return float(self.times[0]), float(self.times[-1])
-        return None
-
     def frequency_scale(self) -> float:
-        """Fastest rate at which the force changes: the largest |w| of a
-        sinusoid bank, or one over the smallest spacing of a table."""
-        if self.kind == "sinusoids":
-            return max((abs(w) for w, _, _ in self.terms), default=0.0)
-        return 1.0 / max(float(np.min(np.diff(self.times))), 1e-300)
-
-    def scaled(self, factor: float) -> "Drive":
-        if self.kind == "sinusoids":
-            return Drive.sinusoids(
-                [(w, ca * factor, sa * factor) for w, ca, sa in self.terms]
-            )
-        return Drive(kind="sampled", times=self.times, values=self.values * factor)
+        """Fastest rate at which the force changes: the largest |w|."""
+        return max((abs(w) for w, _, _ in self.terms), default=0.0)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
         tt = np.atleast_1d(t)
-        if self.kind == "sinusoids":
-            out = np.zeros(tt.shape + (3,))
-            for w, ca, sa in self.terms:
-                out += np.cos(w * tt)[..., None] * ca + np.sin(w * tt)[..., None] * sa
-        else:
-            lo, hi = self.window()
-            if np.any(tt < lo - 1e-12) or np.any(tt > hi + 1e-12):
-                raise ValueError(
-                    f"drive not evaluable outside its window [{lo:g}, {hi:g}]"
-                )
-            out = np.stack(
-                [np.interp(tt, self.times, self.values[:, i]) for i in range(3)],
-                axis=-1,
-            )
-        return out[0] if scalar else out.reshape(t.shape + (3,))
+        out = np.zeros(tt.shape + (3,))
+        for w, ca, sa in self.terms:
+            out += np.cos(w * tt)[..., None] * ca + np.sin(w * tt)[..., None] * sa
+        return out[0] if t.ndim == 0 else out.reshape(t.shape + (3,))
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +172,6 @@ class StaticField:
         """Equivalent-oscillator parameters: frequency |frame_rate|."""
         return OscParams(self.mass, abs(self.frame_rate))
 
-    def frame_angle(self, t) -> np.ndarray | float:
-        """Rotation angle of the frame that removes the magnetic term."""
-        return self.frame_rate * np.asarray(t, dtype=float)
-
     def rotated_drive(self) -> Drive:
         """Force q*E seen in the rotating frame, as a sinusoid bank."""
         e = np.asarray(self.e)
@@ -240,7 +188,8 @@ def eval_H1(field: StaticField, z) -> np.ndarray | float:
 
 
 def eval_H2(params: OscParams, drive: Drive, z, t) -> np.ndarray | float:
-    """Driven-oscillator energy: kinetic + (m w^2/2)|planar Q|^2 - <Q, k(t)>."""
+    """Driven-oscillator energy: kinetic + (m w^2/2)|planar Q|^2 - <Q, k(t)>;
+    at `Drive.zero()` it is the plain-oscillator energy H3."""
     z = _as_state(z)
     if z.shape[-1] != 6:
         raise ValueError("H2 needs a 6-component phase state")
@@ -253,11 +202,6 @@ def eval_H2(params: OscParams, drive: Drive, z, t) -> np.ndarray | float:
         + 0.5 * m * w * w * (q[..., 0] ** 2 + q[..., 1] ** 2)
         - np.sum(q * k, axis=-1)
     )
-
-
-def eval_H3(params: OscParams, z) -> np.ndarray | float:
-    """Plain oscillator energy (planar stiffness, free axial motion)."""
-    return eval_H2(params, Drive.zero(), z, 0.0)
 
 
 def h1_evaluator(fields) -> Callable:
@@ -305,10 +249,6 @@ def h1_evaluator(fields) -> Callable:
 
 def h2_evaluator(params: OscParams, drive: Drive) -> Callable:
     return lambda z, t: eval_H2(params, drive, z, t)
-
-
-def h3_evaluator(params: OscParams) -> Callable:
-    return lambda z, t: eval_H3(params, z)
 
 
 # ----------------------------------------------------------------------
@@ -411,21 +351,27 @@ def _rotate_pairs(z: np.ndarray, angle) -> np.ndarray:
     return out
 
 
+def frame_rotation(rate: float) -> CanonicalMap:
+    """Canonical map that rotates the planar (Q, P) pairs by `rate * t`;
+    t may be an array of times that broadcasts against the states.  The
+    generating phase vanishes identically for this map."""
+
+    def forward(t, z):
+        return _rotate_pairs(_as_state(z), rate * np.asarray(t, dtype=float))
+
+    def inverse(t, z):
+        return _rotate_pairs(_as_state(z), -rate * np.asarray(t, dtype=float))
+
+    return CanonicalMap(forward=forward, inverse=inverse, phase_A=lambda t: 0.0)
+
+
 def rotating_frame_map(field: StaticField) -> CanonicalMap:
     """Canonical map into the frame rotating at half the cyclotron rate.
 
     There the magnetic term disappears and the dynamics is the driven
     oscillator with the rotated electric force, `field.rotated_drive()`.
-    The generating phase vanishes identically for this map.
     """
-
-    def forward(t, z):
-        return _rotate_pairs(_as_state(z), field.frame_angle(t))
-
-    def inverse(t, z):
-        return _rotate_pairs(_as_state(z), -field.frame_angle(t))
-
-    return CanonicalMap(forward=forward, inverse=inverse, phase_A=lambda t: 0.0)
+    return frame_rotation(field.frame_rate)
 
 
 def moving_origin_map(

@@ -69,6 +69,7 @@ from .tdfields import (
     frame_conjugation_defect,
     hill_monodromy,
     mathieu_hill,
+    mathieu_omega_sq,
     stability_map,
 )
 
@@ -434,13 +435,7 @@ def _run_hill(sc: Scenario):
     p = sc.params
     a_values = np.linspace(p["a_min"], p["a_max"], p["a_count"])
     q_values = np.linspace(p["q_min"], p["q_max"], p["q_count"])
-    rows = stability_map(
-        lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t),
-        math.pi,
-        a_values,
-        q_values,
-        n_steps=p["n_steps"],
-    )
+    rows = stability_map(mathieu_omega_sq, math.pi, a_values, q_values, n_steps=p["n_steps"])
     det_defect = 0.0
     const_defect = 0.0
     for row in rows:

@@ -33,7 +33,6 @@ __all__ = [
     "oscillator_eigenfunction",
     "oscillator_energy",
     "hermite_shift_coefficients",
-    "oscillator_shift_coefficients",
     "rotated_product_coefficients",
     "gaussian_wavepacket",
     "product_eigenstate",
@@ -245,22 +244,6 @@ def hermite_shift_coefficients(n: int, v: float) -> dict:
     return {k: math.comb(n, k) * (2.0 * v) ** (n - k) for k in range(n, -1, -1)}
 
 
-def oscillator_shift_coefficients(n: int, v: float, alpha: float) -> dict:
-    """Polynomial-part bookkeeping of the shifted eigenfunction: the
-    normalized Hermite factor of phi_n(u + v) expands over those of
-    phi_k(u) with weights A_{n,k} (2 alpha v)^(n-k),
-    A_{n,k} = sqrt(2^k k! / (2^n n!)) C(n, k).
-
-    The Gaussian factor does not shift-factorize, so this is an identity
-    between the polynomial parts only.
-    """
-    out = {}
-    for k in range(n, -1, -1):
-        a_nk = math.sqrt((2.0**k) * math.factorial(k) / ((2.0**n) * math.factorial(n)))
-        out[k] = a_nk * math.comb(n, k) * (2.0 * alpha * v) ** (n - k)
-    return out
-
-
 def rotated_product_coefficients(
     k1: int,
     k2: int,
@@ -280,6 +263,8 @@ def rotated_product_coefficients(
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be >= 0")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     n = k1 + k2
     if order is None:
         order = n + 8
@@ -691,7 +676,7 @@ def evolved_eigenstate(
     action = float(mover.phase_A(t))
     energy = oscillator_energy(label, params, hbar)
 
-    angle = field.frame_angle(t)
+    angle = field.frame_rate * t
     c, s = math.cos(angle), math.sin(angle)
     x, y = grid.meshgrid()
     r1 = c * x - s * y

@@ -22,7 +22,7 @@ from .core import (
     _PANELS_PER_UNIT, composite_simpson, cross_matrix, rk4_steps, rotation_about_z,
     simpson_panels, stage_memo,
 )
-from .classical import CanonicalMap, _rotate_pairs
+from .classical import CanonicalMap, frame_rotation
 
 __all__ = [
     "FixedAxisField",
@@ -40,6 +40,7 @@ __all__ = [
     "corotating_reduction",
     "coriolis_elimination",
     "rotation_about_axis",
+    "mathieu_omega_sq",
     "mathieu_hill",
     "hill_monodromy",
     "stability_map",
@@ -215,24 +216,12 @@ def corotating_reduction(field: RotatingField) -> tuple[ReducedQuadraticHamilton
     """Canonical pass into the frame in which the field direction is fixed.
 
     Returns the reduced Hamiltonian data and the map (Q, P) = (R(-at) x,
-    R(-at) p) as a CanonicalMap on interleaved phase states.
+    R(-at) p), the frame rotation at rate -alpha.
     """
     w0 = rotating_field_generator(field, 0.0)
     lam = cross_matrix((0.0, 0.0, field.alpha))
     reduced = ReducedQuadraticHamiltonian(field=field, coriolis=0.5 * w0 + lam, omega1_0=w0)
-
-    def forward(t, z):
-        return _rotate_pairs(np.asarray(z, dtype=float), -field.alpha * t)
-
-    def inverse(t, z):
-        return _rotate_pairs(np.asarray(z, dtype=float), field.alpha * t)
-
-    cmap = CanonicalMap(
-        forward=forward,
-        inverse=inverse,
-        phase_A=lambda t: 0.0,
-    )
-    return reduced, cmap
+    return reduced, frame_rotation(-field.alpha)
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
@@ -303,8 +292,8 @@ class HillSystem:
     period: float
 
     def __post_init__(self):
-        if not (self.period > 0):
-            raise ValueError("period must be positive")
+        if not (0.0 < self.period < math.inf):
+            raise ValueError("period must be positive and finite")
 
     def omega_sq_values(self, t) -> np.ndarray:
         return _eval_time_function(self.omega_sq, t)
@@ -327,13 +316,17 @@ class MonodromyReport:
     trace: float
     det: float
     classification: str
-    floquet_exponents: tuple
-    period: float
+
+
+def mathieu_omega_sq(a, q, t):
+    """Mathieu stiffness omega^2(t) = a + 2 q cos(2t), of period pi;
+    broadcasts over arrays of a, q and t."""
+    return a + 2.0 * q * np.cos(2.0 * t)
 
 
 def mathieu_hill(a: float, q: float) -> HillSystem:
-    """Mathieu stiffness omega^2(t) = a + 2 q cos(2t), period pi."""
-    return HillSystem(omega_sq=lambda t: a + 2.0 * q * np.cos(2.0 * t), period=math.pi)
+    """The Mathieu equation as a Hill system of period pi."""
+    return HillSystem(omega_sq=lambda t: mathieu_omega_sq(a, q, t), period=math.pi)
 
 
 def _monodromy_matrices(
@@ -392,22 +385,7 @@ def hill_monodromy(sys: HillSystem, n_steps: int = 4096) -> MonodromyReport:
     from the monodromy trace."""
     matrix = _monodromy_matrices(sys.omega_sq_values, sys.period, n_steps)
     trace, det = (float(v) for v in _trace_det(matrix))
-    if math.isfinite(trace):
-        half = trace / 2.0
-        disc = complex(half * half - 1.0) ** 0.5
-        # larger root first, partner via det = 1 (avoids cancellation)
-        mu1 = half + disc if abs(half + disc) >= abs(half - disc) else half - disc
-        exponents = tuple(np.log(complex(mu)) / sys.period for mu in (mu1, 1.0 / mu1))
-    else:
-        exponents = (complex(math.inf), complex(math.inf))
-    return MonodromyReport(
-        matrix=matrix,
-        trace=trace,
-        det=det,
-        classification=_classify(trace),
-        floquet_exponents=exponents,
-        period=sys.period,
-    )
+    return MonodromyReport(matrix=matrix, trace=trace, det=det, classification=_classify(trace))
 
 
 class StabilityRow(NamedTuple):

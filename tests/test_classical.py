@@ -14,11 +14,10 @@ from fieldosc.classical import (
     equivalence_report,
     eval_H1,
     eval_H2,
-    eval_H3,
     forced_path,
+    frame_rotation,
     h1_evaluator,
     h2_evaluator,
-    h3_evaluator,
     moving_origin_map,
     rk4_hamiltonian_flow,
     rotating_frame_map,
@@ -130,21 +129,24 @@ class TestDrive:
             expected = rotation_about_z(rate * t) @ vec
             assert np.allclose(d(t), expected, atol=1e-14)
 
-    def test_sampled_interpolates_and_guards_window(self):
-        times = np.linspace(0.0, 2.0, 21)
-        values = np.stack([np.sin(times), np.cos(times), times], axis=1)
-        d = Drive.sampled(times, values)
-        assert np.allclose(d(1.0), values[10], atol=1e-14)
-        with pytest.raises(ValueError, match="window"):
-            d(2.5)
+    @pytest.mark.parametrize(
+        "term",
+        [
+            (math.nan, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            (math.inf, (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
+            (0.5, (1.0, math.nan, 0.0), (0.0, 0.0, 0.0)),
+            (0.5, (1.0, 0.0, 0.0), (0.0, 0.0, -math.inf)),
+        ],
+    )
+    def test_non_finite_term_rejected(self, term):
+        # a nan frequency used to give nan forces, and a nan frequency
+        # scale that the split-step time-scale guard let through
+        with pytest.raises(ValueError, match="finite"):
+            Drive.sinusoids([term])
 
-    def test_sampled_requires_increasing_times(self):
-        with pytest.raises(ValueError, match="increasing"):
-            Drive.sampled([0.0, 0.0, 1.0], np.zeros((3, 3)))
-
-    def test_scaled(self):
-        d = Drive.rotating_constant((1.0, 0.0, 2.0), 0.7).scaled(-2.0)
-        assert np.allclose(d(0.0), [-2.0, 0.0, -4.0], atol=1e-15)
+    def test_non_finite_constant_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            Drive.constant((0.0, math.inf, 0.0))
 
 
 class TestHamiltonians:
@@ -162,22 +164,23 @@ class TestHamiltonians:
             eval_H1(StaticField(b3=1.0), np.zeros(2))
 
     def test_h3_zero(self):
-        assert eval_H3(OscParams(1.0, 2.0), np.zeros(6)) == 0.0
+        assert eval_H2(OscParams(1.0, 2.0), Drive.zero(), np.zeros(6), 0.0) == 0.0
 
     def test_h2_equals_h3_without_drive(self):
+        # H3 is H2 at the zero drive: it does not depend on t
         params = OscParams(1.3, 0.9)
         rng = np.random.default_rng(3)
         z = rng.normal(size=(5, 6))
-        assert np.allclose(
-            eval_H2(params, Drive.zero(), z, 1.7), eval_H3(params, z), atol=0
-        )
+        h3 = eval_H2(params, Drive.zero(), z, 0.0)
+        for t in (1.7, -3.2, 1e6):
+            assert np.array_equal(eval_H2(params, Drive.zero(), z, t), h3)
 
     def test_h3_conserved_along_closed_form(self):
         params = OscParams(1.0, 1.4)
         z0 = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.6])
         times = np.linspace(0.0, 8.0, 401)
         path = block_propagate_path(params, z0, times)
-        energies = eval_H3(params, path)
+        energies = eval_H2(params, Drive.zero(), path, 0.0)
         assert np.max(np.abs(energies - energies[0])) <= 1e-10
 
     def test_h1_maps_to_h2_with_generating_rate(self):
@@ -194,7 +197,7 @@ class TestHamiltonians:
             p_new = mapped[1::2]
 
             def gen(tt):
-                c, s = math.cos(field.frame_angle(tt)), math.sin(field.frame_angle(tt))
+                c, s = math.cos(field.frame_rate * tt), math.sin(field.frame_rate * tt)
                 # <x_planar, G(tt)^-1 P_planar> + x3 P3
                 px = c * p_new[0] + s * p_new[1]
                 py = -s * p_new[0] + c * p_new[1]
@@ -239,19 +242,6 @@ class TestSolveDriven:
         for idx in (1000, 5000, 10000):
             sol = solve_driven(params, drive, z0, times[idx], QUAD)
             assert np.max(np.abs(sol - path[idx])) <= 1e-6
-
-    def test_sampled_table_matches_analytic_drive(self):
-        # a densely tabulated sinusoid must reproduce the closed-form bank
-        # up to the linear-interpolation error of the table
-        params = OscParams(1.0, 1.1)
-        analytic = Drive.sinusoids([(0.9, (0.3, 0.0, 0.1), (0.0, 0.2, 0.0))])
-        table_t = np.linspace(0.0, 6.0, 6001)
-        sampled = Drive.sampled(table_t, analytic(table_t))
-        z0 = np.array([0.5, 0.0, -0.2, 0.3, 0.1, -0.4])
-        t = 5.0
-        a = solve_driven(params, analytic, z0, t, QUAD)
-        b = solve_driven(params, sampled, z0, t, QUAD)
-        assert np.max(np.abs(a - b)) <= 1e-5
 
     def test_linearity_in_drive(self):
         params = OscParams(1.0, 0.8)
@@ -304,7 +294,7 @@ class TestRotatingFrameMap:
         field = StaticField(b3=1.6, e=(0.2, -0.3, 0.4), charge=1.5)
         drive = field.rotated_drive()
         for t in (0.0, 0.9, 2.7):
-            expected = 1.5 * (rotation_about_z(field.frame_angle(t)) @ np.array(field.e))
+            expected = 1.5 * (rotation_about_z(field.frame_rate * t) @ np.array(field.e))
             assert np.allclose(drive(t), expected, atol=1e-14)
 
     def test_time_array_matches_scalar_calls(self):
@@ -316,6 +306,17 @@ class TestRotatingFrameMap:
         assert np.array_equal(frame.forward(times, path), rows)
         rows = np.array([frame.inverse(t, z) for t, z in zip(times, path)])
         assert np.array_equal(frame.inverse(times, path), rows)
+
+    @pytest.mark.parametrize("rate", [1.3, -0.7])
+    def test_frame_rotation_turns_pairs_by_rate_times_t(self, rate):
+        frame = frame_rotation(rate)
+        z = np.array([0.3, -0.2, 0.5, 0.1, 0.7, -0.4])
+        t = 0.9
+        r = rotation_about_z(rate * t)
+        out = frame.forward(t, z)
+        assert np.allclose(out[0::2], r @ z[0::2], atol=1e-15)
+        assert np.allclose(out[1::2], r @ z[1::2], atol=1e-15)
+        assert np.allclose(frame.inverse(t, out), z, atol=1e-15)
 
     @given(t=st.floats(0.0, 5.0), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
@@ -432,14 +433,14 @@ class TestRK4Oracle:
     def test_free_particle_exact(self):
         params = OscParams(1.0, 0.0)
         z0 = np.array([0.2, 1.0, -0.5, 0.4, 0.3, -0.7])
-        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 1.0, 1e-2)[1][-1]
+        out = rk4_hamiltonian_flow(h2_evaluator(params, Drive.zero()), z0, 1.0, 1e-2)[1][-1]
         expected = block_propagator(params, 1.0) @ z0
         assert np.max(np.abs(out - expected)) <= 1e-10
 
     def test_oscillator_vs_closed_form(self):
         params = OscParams(1.0, 1.3)
         z0 = np.array([0.4, -0.2, 0.1, 0.5, -0.3, 0.2])
-        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 1.0, 1e-4)[1][-1]
+        out = rk4_hamiltonian_flow(h2_evaluator(params, Drive.zero()), z0, 1.0, 1e-4)[1][-1]
         expected = block_propagator(params, 1.0) @ z0
         assert np.max(np.abs(out - expected)) <= 1e-8
 
@@ -447,7 +448,7 @@ class TestRK4Oracle:
         params = OscParams(1.0, 0.9)
         rng = np.random.default_rng(5)
         z0 = rng.normal(size=(4, 6))
-        out = rk4_hamiltonian_flow(h3_evaluator(params), z0, 0.8, 1e-3)[1][-1]
+        out = rk4_hamiltonian_flow(h2_evaluator(params, Drive.zero()), z0, 0.8, 1e-3)[1][-1]
         expected = z0 @ block_propagator(params, 0.8).T
         assert np.max(np.abs(out - expected)) <= 1e-10
 
@@ -463,7 +464,7 @@ class TestRK4Oracle:
             StaticField(b3=2.0, e=(-0.1, 0.3, 0.0), charge=1.7, mass=0.8),
             StaticField(b3=7.1, e=(0.0, 0.15, -0.2), charge=-0.6, mass=1.3),
         ]
-        h3 = h3_evaluator(OscParams(1.3, 0.9))
+        h3 = h2_evaluator(OscParams(1.3, 0.9), Drive.zero())
 
         def duffing(z, t):
             q, p = z[..., 0], z[..., 1]

@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fieldosc
-from fieldosc import cli
+from fieldosc import classical, cli, core, quantum, tdfields
 from fieldosc.cli import (
     RunReport,
     ScenarioError,
@@ -425,3 +426,22 @@ class TestWavefunctionExport:
                 lines.append(",".join(format(float(x), ".16e") for x in row))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
         assert b",inf\n" in path.read_bytes()
+
+
+class TestPackageNames:
+    def test_package_exports_each_module_all(self):
+        # the package declares no list of its own: its public names are
+        # the union of the four modules' __all__, each bound to the
+        # module's object
+        modules = (core, classical, quantum, tdfields)
+        declared = {name for m in modules for name in m.__all__}
+        public = {
+            name
+            for name, value in vars(fieldosc).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        }
+        assert public == declared
+        assert sorted(fieldosc.__all__) == sorted(declared)
+        for m in modules:
+            for name in m.__all__:
+                assert getattr(fieldosc, name) is getattr(m, name)

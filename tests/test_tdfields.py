@@ -12,6 +12,7 @@ from fieldosc.classical import (
     equivalence_report,
     h1_evaluator,
     rk4_hamiltonian_flow,
+    rotating_frame_map,
     symplectic_defect,
 )
 from fieldosc.tdfields import (
@@ -243,6 +244,20 @@ class TestCorotatingReduction:
             worst = max(worst, abs(float(reduced.value(mapped, t)) - float(h4(z, t)) - rate))
         assert worst <= 1e-6
 
+    def test_map_is_frame_rotation_at_minus_alpha(self):
+        # the co-rotating map is the static frame map at rate -alpha, and
+        # checks its states as that map does
+        field = RotatingField(b1=0.5, b3=1.3, alpha=0.8)
+        _, cmap = corotating_reduction(field)
+        static = rotating_frame_map(StaticField(b3=-1.6))  # frame rate -0.8
+        z = np.random.default_rng(4).normal(size=(7, 6))
+        times = np.linspace(0.0, 3.0, 7)
+        assert np.array_equal(cmap.forward(times, z), static.forward(times, z))
+        assert np.array_equal(cmap.inverse(times, z), static.inverse(times, z))
+        for frame in (cmap, static):
+            with pytest.raises(ValueError, match="5"):
+                frame.forward(0.5, np.zeros(5))
+
     def test_maps_symplectic(self):
         field = RotatingField(b1=0.5, b3=1.3, alpha=0.8)
         reduced, cmap3 = corotating_reduction(field)
@@ -322,11 +337,12 @@ class TestMonodromy:
         assert abs(rep.det - 1.0) <= 1e-8
         assert rep.classification == "stable"
 
-    def test_floquet_exponents_consistent(self):
-        rep = hill_monodromy(mathieu_hill(0.6, 0.1))
-        mus = [np.exp(e * rep.period) for e in rep.floquet_exponents]
-        assert abs(mus[0] * mus[1] - 1.0) <= 1e-8  # product = det = 1
-        assert abs((mus[0] + mus[1]).real - rep.trace) <= 1e-8
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
+    def test_period_must_be_positive_and_finite(self, period):
+        # an infinite period used to give a nan monodromy, classified
+        # "unstable" for the stable omega^2 = 1
+        with pytest.raises(ValueError, match="period"):
+            HillSystem(lambda t: 1.0 + 0 * t, period)
 
     def test_n_steps_must_be_positive(self):
         # both entry points share the check; -5 used to give trace 2.0 and
