@@ -8,10 +8,10 @@ Three Hamiltonians are handled:
   time-dependent force,
 * ``H3`` -- the plain planar oscillator, which is H2 at `Drive.zero()`.
 
-Phase-space points are plain numpy arrays in the *interleaved* layout
-``(Q1, P1, Q2, P2, Q3, P3)`` (or ``(Q, P)`` for one degree of freedom);
-all evaluators and maps broadcast over leading axes, so batches of states
-can be pushed through in one call.
+Phase-space points are plain numpy arrays of six finite components in the
+*interleaved* layout ``(Q1, P1, Q2, P2, Q3, P3)`` (the RK4 oracle also
+takes one ``(Q, P)`` pair); all evaluators and maps broadcast over leading
+axes, so batches of states can be pushed through in one call.
 
 Conventions: the magnetic coupling enters through the signed cyclotron
 rate ``w_c = q*B3/m`` (with the vector potential ``(m*w_c/2) z_hat cross x``,
@@ -35,6 +35,8 @@ from .core import (
     _PANELS_PER_UNIT,
     OscParams,
     _as_state,
+    _check_mass,
+    _fixed_steps,
     _sin_over_mw,
     block_propagate_path,
     cumulative_simpson,
@@ -57,7 +59,6 @@ __all__ = [
     "solve_driven",
     "forced_path",
     "frame_rotation",
-    "rotating_frame_map",
     "moving_origin_map",
     "rk4_hamiltonian_flow",
     "symplectic_defect",
@@ -152,8 +153,7 @@ class StaticField:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0 and math.isfinite(self.mass)):
-            raise ValueError("mass must be positive")
+        _check_mass(self.mass)
         object.__setattr__(self, "e", tuple(float(c) for c in np.reshape(self.e, 3)))
 
     @property
@@ -181,18 +181,13 @@ class StaticField:
 def eval_H1(field: StaticField, z) -> np.ndarray | float:
     """Energy of a charge in the static field: |p - a(x)|^2/2m - q<x,E>
     with a(x) = (m*w_c/2) z_hat cross x (equal to B cross x / 2 at q=1)."""
-    z = _as_state(z)
-    if z.shape[-1] != 6:
-        raise ValueError("H1 needs a 6-component phase state")
-    return h1_evaluator(field)(z, 0.0)
+    return h1_evaluator(field)(_as_state(z), 0.0)
 
 
 def eval_H2(params: OscParams, drive: Drive, z, t) -> np.ndarray | float:
     """Driven-oscillator energy: kinetic + (m w^2/2)|planar Q|^2 - <Q, k(t)>;
     at `Drive.zero()` it is the plain-oscillator energy H3."""
     z = _as_state(z)
-    if z.shape[-1] != 6:
-        raise ValueError("H2 needs a 6-component phase state")
     m, w = params.mass, params.omega
     q = z[..., 0::2]
     p = z[..., 1::2]
@@ -354,7 +349,12 @@ def _rotate_pairs(z: np.ndarray, angle) -> np.ndarray:
 def frame_rotation(rate: float) -> CanonicalMap:
     """Canonical map that rotates the planar (Q, P) pairs by `rate * t`;
     t may be an array of times that broadcasts against the states.  The
-    generating phase vanishes identically for this map."""
+    generating phase vanishes identically for this map.
+
+    At `field.frame_rate`, half the cyclotron rate, it is the map into the
+    rotating frame, where the magnetic term disappears and the dynamics is
+    the driven oscillator with the force `field.rotated_drive()`.
+    """
 
     def forward(t, z):
         return _rotate_pairs(_as_state(z), rate * np.asarray(t, dtype=float))
@@ -363,15 +363,6 @@ def frame_rotation(rate: float) -> CanonicalMap:
         return _rotate_pairs(_as_state(z), -rate * np.asarray(t, dtype=float))
 
     return CanonicalMap(forward=forward, inverse=inverse, phase_A=lambda t: 0.0)
-
-
-def rotating_frame_map(field: StaticField) -> CanonicalMap:
-    """Canonical map into the frame rotating at half the cyclotron rate.
-
-    There the magnetic term disappears and the dynamics is the driven
-    oscillator with the rotated electric force, `field.rotated_drive()`.
-    """
-    return frame_rotation(field.frame_rate)
 
 
 def moving_origin_map(
@@ -424,9 +415,6 @@ def solve_driven(
     may be batched (..., 6)."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    z0 = _as_state(z0)
-    if z0.shape[-1] != 6:
-        raise ValueError("solve_driven needs 6-component states")
     homogeneous = block_propagate_path(params, z0, t)[0]
     return moving_origin_map(params, drive, panels_per_unit).inverse(t, homogeneous)
 
@@ -445,9 +433,10 @@ def rk4_hamiltonian_flow(
     """Classic RK4 integration of dz/dt = Sigma grad H, with the gradient
     obtained by central finite differences (step 1e-5*(1 + max|z|)).
 
-    z0 may be a batch (..., 2n).  `hamiltonian(z, t)` must broadcast over
-    the leading axes of z: each gradient is one call on a stack of the
-    4n displaced states, shape (4n,) + z0.shape, with the displacement
+    z0 may be a batch (..., 2n) of finite states with 2n = 2 or 6; t >= 0
+    and dt > 0 must be finite.  `hamiltonian(z, t)` must broadcast over
+    the leading axes of z: each gradient is one call on a stack of the 4n
+    displaced states, shape (4n,) + z0.shape, with the displacement
     axis leading and the component axis last.  Row r < 2n displaces
     component r ^ 1 (the other half of its (Q, P) pair) by +step and row
     2n + r displaces it by -step, so the differences come out in the
@@ -461,12 +450,14 @@ def rk4_hamiltonian_flow(
     raises FlowBlowupError, the one report of a blow-up: overflow inside
     the step is not warned about.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    z = _as_state(z0)
+    steps, h = _fixed_steps(t, dt)
+    # the oracle's own state check: it also integrates one (Q, P) pair
+    z = np.asarray(z0, dtype=float)
+    if z.shape[-1:] not in ((2,), (6,)):
+        raise ValueError(f"phase state must have 2 or 6 components, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ValueError("phase state must be finite")
     dim = z.shape[-1]
-    steps = max(1, int(round(t / dt)))
-    h = t / steps
     # The state is carried component-major, shape (dim,) + batch, so that
     # every ufunc of a step runs on contiguous operands of one shape.
     batch = z.shape[:-1]
@@ -562,7 +553,7 @@ def equivalence_report(
     oscillator propagator."""
     z0 = _as_state(z0)
     params = field.osc_params
-    frame = rotating_frame_map(field)
+    frame = frame_rotation(field.frame_rate)
     drive = field.rotated_drive()
 
     steps = max(2, int(round(horizon / dt)))

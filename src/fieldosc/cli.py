@@ -41,8 +41,8 @@ from .classical import (
     StaticField,
     equivalence_report,
     forced_path,
+    frame_rotation,
     moving_origin_map,
-    rotating_frame_map,
     symplectic_defect,
 )
 from .quantum import (
@@ -353,7 +353,7 @@ def _run_classical(sc: Scenario):
         times = np.linspace(0.0, p["horizon"], 1001)
         closed = block_propagate_path(params, np.array(p["z0"]), times)
         in_frame = closed + forced_path(params, field.rotated_drive(), times)
-        lab = rotating_frame_map(field).inverse(times, in_frame)
+        lab = frame_rotation(field.frame_rate).inverse(times, in_frame)
         yield from ((t, *z) for t, z in zip(times, lab))
 
     return checks, {
@@ -402,17 +402,17 @@ def _run_expansion(sc: Scenario):
     for level in range(1, p["max_level"] + 1):
         mat = np.zeros((level + 1, level + 1))
         for k1 in range(level + 1):
-            coeffs = rotated_product_coefficients(k1, level - k1, theta)
-            leak = max(leak, coeffs.leakage)
+            coeffs, leakage = rotated_product_coefficients(k1, level - k1, theta)
+            leak = max(leak, leakage)
             for (m1, m2), c in coeffs.items():
                 mat[k1, m1] = c
                 rows.append((level, k1, level - k1, m1, m2, c))
         ortho_defect = max(
             ortho_defect, float(np.max(np.abs(mat @ mat.T - np.eye(level + 1))))
         )
-    one = rotated_product_coefficients(1, 0, theta)
+    one, _ = rotated_product_coefficients(1, 0, theta)
     level1_defect = max(
-        abs(one.get((1, 0)) - math.cos(theta)), abs(one.get((0, 1)) - math.sin(theta))
+        abs(one[(1, 0)] - math.cos(theta)), abs(one[(0, 1)] - math.sin(theta))
     )
     params = OscParams(1.0, 1.0)
     degeneracy = 0.0

@@ -50,10 +50,27 @@ class OscParams:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not (self.mass > 0 and math.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
+        _check_mass(self.mass)
         if not (self.omega >= 0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be >= 0 and finite, got {self.omega}")
+
+
+def _check_mass(mass: float) -> None:
+    """The package's one mass check, shared by every field and oscillator."""
+    if not (mass > 0 and math.isfinite(mass)):
+        raise ValueError(f"mass must be positive and finite, got {mass}")
+
+
+def _fixed_steps(t: float, dt: float) -> tuple[int, float]:
+    """Step count and size of a fixed-step integration over [0, t]: the
+    step nearest `dt` that divides t, and at least one step.  The one
+    place a horizon is checked: t finite and >= 0, dt finite and > 0."""
+    if not (0 <= t < math.inf):
+        raise ValueError(f"t must be finite and >= 0, got {t}")
+    if not (0 < dt < math.inf):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    steps = max(1, int(round(t / dt)))
+    return steps, t / steps
 
 
 def simpson_panels(panels_per_unit: float, span: float) -> int:
@@ -67,9 +84,11 @@ def simpson_panels(panels_per_unit: float, span: float) -> int:
 
 
 def _as_state(z) -> np.ndarray:
+    """The package's one phase-state check: z as a float array whose last
+    axis holds the six finite components (Q1, P1, Q2, P2, Q3, P3)."""
     z = np.asarray(z, dtype=float)
-    if z.shape[-1] not in (2, 6):
-        raise ValueError(f"phase state must have 2 or 6 components, got {z.shape[-1]}")
+    if z.shape[-1:] != (6,):
+        raise ValueError(f"phase state must have 6 components, got shape {z.shape}")
     if not np.isfinite(z).all():
         raise ValueError("phase state must be finite")
     return z
@@ -138,8 +157,6 @@ def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
     (len(times), ..., 6).
     """
     z0 = _as_state(z0)
-    if z0.shape[-1] != 6:
-        raise ValueError("propagation path needs 6-component states")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.isfinite(times).all():
         raise ValueError("time must be finite")

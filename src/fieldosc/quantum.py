@@ -18,14 +18,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .core import OscParams
+from .core import OscParams, _fixed_steps
 from .classical import Drive, MovingOrigin, StaticField, moving_origin_map
 
 __all__ = [
     "Grid",
     "WaveFunction",
     "EigenLabel",
-    "ExpansionCoeffs",
     "GridSupportError",
     "GridHamiltonian",
     "check_shift_support",
@@ -169,26 +168,6 @@ class EigenLabel:
             raise ValueError("quantum numbers must be non-negative")
 
 
-@dataclass(frozen=True)
-class ExpansionCoeffs:
-    """Coefficient map of a basis expansion, with its off-target leakage."""
-
-    coeffs: dict
-    leakage: float = 0.0
-
-    def __getitem__(self, key):
-        return self.coeffs[key]
-
-    def get(self, key, default=0.0):
-        return self.coeffs.get(key, default)
-
-    def items(self):
-        return self.coeffs.items()
-
-    def l2(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
-
-
 # ----------------------------------------------------------------------
 # Hermite machinery
 # ----------------------------------------------------------------------
@@ -244,33 +223,25 @@ def hermite_shift_coefficients(n: int, v: float) -> dict:
     return {k: math.comb(n, k) * (2.0 * v) ** (n - k) for k in range(n, -1, -1)}
 
 
-def rotated_product_coefficients(
-    k1: int,
-    k2: int,
-    theta: float,
-    order: int | None = None,
-) -> ExpansionCoeffs:
+def rotated_product_coefficients(k1: int, k2: int, theta: float) -> tuple[dict, float]:
     """Expansion of a rotated 2D oscillator product state over unrotated
-    products within the same level.
+    products within the same level: ({(m1, m2): c}, leakage).
 
     Convention: expands phi_k1(c x1 + s x2) phi_k2(-s x1 + c x2) as
     sum c_{m1,m2} phi_m1(x1) phi_m2(x2), so level one maps
     (1,0) -> cos(theta) (1,0) + sin(theta) (0,1).  The coefficients are
     independent of mass/frequency/hbar (both sides share the length
-    scale), and are computed by 2D Gauss-Hermite projection.  Support is
-    confined to m1 + m2 = k1 + k2; anything found off that level is
-    reported as `leakage` and must stay below 1e-6.
+    scale), and are computed by 2D Gauss-Hermite projection of order
+    k1 + k2 + 8.  Support is confined to m1 + m2 = k1 + k2; the largest
+    coefficient found off that level is the `leakage`, and must stay
+    below 1e-6.
     """
     if k1 < 0 or k2 < 0:
         raise ValueError("k1, k2 must be >= 0")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     n = k1 + k2
-    if order is None:
-        order = n + 8
-    if order < n + 1:
-        raise ValueError("quadrature order too small for the requested level")
-    nodes, weights = hermgauss(order)
+    nodes, weights = hermgauss(n + 8)
     u1 = nodes[:, None]
     u2 = nodes[None, :]
     w2 = weights[:, None] * weights[None, :]
@@ -297,9 +268,9 @@ def rotated_product_coefficients(
                 leakage = max(leakage, abs(float(table[m1, m2])))
     if leakage > _LEAK_LIMIT:
         raise ValueError(
-            f"quadrature order {order} too small: off-level leakage {leakage:.3e}"
+            f"quadrature order {n + 8} too small: off-level leakage {leakage:.3e}"
         )
-    return ExpansionCoeffs(coeffs=coeffs, leakage=leakage)
+    return coeffs, leakage
 
 
 # ----------------------------------------------------------------------
@@ -530,10 +501,7 @@ def split_step_evolve(
     angular-momentum term is applied as an exact per-step rotation, which
     commutes with the kinetic factor.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps = max(1, int(round(t / dt)))
-    h = t / steps
+    steps, h = _fixed_steps(t, dt)
     drive_rate = ham.drive.frequency_scale() if ham.drive is not None else 0.0
     if drive_rate * h > 0.5:
         raise ValueError("dt too coarse for the drive's time scale")

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    _PANELS_PER_UNIT, composite_simpson, cross_matrix, rk4_steps, rotation_about_z,
-    simpson_panels, stage_memo,
+    _PANELS_PER_UNIT, _as_state, _check_mass, composite_simpson, cross_matrix, rk4_steps,
+    rotation_about_z, simpson_panels, stage_memo,
 )
 from .classical import CanonicalMap, frame_rotation
 
@@ -68,6 +68,9 @@ class FixedAxisField:
     charge: float = 1.0
     mass: float = 1.0
 
+    def __post_init__(self):
+        _check_mass(self.mass)
+
     def rate(self, t):
         """Instantaneous rotation rate q*B3(t)/m."""
         return self.charge * _eval_time_function(self.b3, t) / self.mass
@@ -84,11 +87,8 @@ class RotatingField:
     charge: float = 1.0
     mass: float = 1.0
 
-    def rate_vector(self, t: float) -> np.ndarray:
-        """Cyclotron-scaled field vector (q/m) B(t)."""
-        scale = self.charge / self.mass
-        c, s = math.cos(self.alpha * t), math.sin(self.alpha * t)
-        return scale * np.array([self.b1 * c, self.b1 * s, self.b3])
+    def __post_init__(self):
+        _check_mass(self.mass)
 
 
 def accumulated_rotation(field: FixedAxisField, t: float) -> np.ndarray:
@@ -125,8 +125,10 @@ def fixed_axis_hill(field: FixedAxisField, period: float) -> "HillSystem":
 
 def rotating_field_generator(field: RotatingField, t: float) -> np.ndarray:
     """Antisymmetric generator at time t: the cross-product matrix of the
-    cyclotron-scaled rotating field vector (all entries scaled by q/m)."""
-    return cross_matrix(field.rate_vector(t))
+    cyclotron-scaled rotating field vector (q/m) B(t)."""
+    scale = field.charge / field.mass
+    c, s = math.cos(field.alpha * t), math.sin(field.alpha * t)
+    return cross_matrix(scale * np.array([field.b1 * c, field.b1 * s, field.b3]))
 
 
 def frame_conjugation_defect(field: RotatingField, t: float) -> float:
@@ -167,7 +169,6 @@ class ReducedQuadraticHamiltonian:
 
     with M = W0/2 + L antisymmetric (L the frame generator) and
     E1(t) = R(-alpha t) E0(t); m, q, alpha and E0 are the `field`'s.
-    `axis` and `speed` describe the rotation group generated by M.
     """
 
     field: RotatingField
@@ -179,36 +180,19 @@ class ReducedQuadraticHamiltonian:
         """Symmetric PSD matrix W0^T W0 of the quadratic potential."""
         return self.omega1_0.T @ self.omega1_0
 
-    @property
-    def axis_vector(self) -> np.ndarray:
-        m = self.coriolis
-        return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-    @property
-    def speed(self) -> float:
-        return float(np.linalg.norm(self.axis_vector))
-
-    @property
-    def axis(self) -> np.ndarray:
-        v = self.axis_vector
-        s = self.speed
-        return v / s if s > 0 else v
-
-    def rotated_e1(self, t: float) -> np.ndarray:
-        e0 = self.field.e0
-        if e0 is None:
-            return np.zeros(3)
-        return rotation_about_z(-self.field.alpha * t) @ np.asarray(e0(t), dtype=float)
-
     def value(self, z, t) -> np.ndarray:
-        m = self.field.mass
+        m, e0 = self.field.mass, self.field.e0
         q_ = z[..., 0::2]
         p_ = z[..., 1::2]
         kinetic = np.sum(p_ * p_, axis=-1) / (2.0 * m)
         cross = -np.sum(p_ * (q_ @ self.coriolis.T), axis=-1)
         w = self.stiffness_form
         potential = (m / 8.0) * np.sum(q_ * (q_ @ w.T), axis=-1)
-        electric = -self.field.charge * (q_ @ self.rotated_e1(float(t)))
+        e1 = np.zeros(3)  # E1(t) = R(-alpha t) E0(t)
+        if e0 is not None:
+            t = float(t)
+            e1 = rotation_about_z(-self.field.alpha * t) @ np.asarray(e0(t), dtype=float)
+        electric = -self.field.charge * (q_ @ e1)
         return kinetic + cross + potential + electric
 
 
@@ -234,7 +218,7 @@ def rotation_about_axis(axis, angle: float) -> np.ndarray:
 def _apply_linear_pairs(z: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Apply the same 3x3 linear map to positions and momenta of an
     interleaved state (broadcasts over leading axes)."""
-    z = np.asarray(z, dtype=float)
+    z = _as_state(z)
     out = np.empty_like(z)
     out[..., 0::2] = z[..., 0::2] @ a.T
     out[..., 1::2] = z[..., 1::2] @ a.T
@@ -248,14 +232,18 @@ def coriolis_elimination(
 
     What remains is kinetic energy plus the time-periodic quadratic
     potential (m/8) <x', S(t) x'> with S(t) = G(t) W0^T W0 G(t)^T, i.e. a
-    three-degree Hill system with stiffness period 2 pi / speed.
+    three-degree Hill system with stiffness period 2 pi / speed, where
+    M = speed * cross_matrix(axis).  At speed 0 the axis is the zero
+    vector, about which the Rodrigues rotation is exactly the identity.
     """
-    axis, speed = reduced.axis, reduced.speed
+    m = reduced.coriolis
+    axis = np.array([m[2, 1], m[0, 2], m[1, 0]])
+    speed = float(np.linalg.norm(axis))
+    if speed > 0:
+        axis = axis / speed
     w = reduced.stiffness_form
 
     def group(t: float) -> np.ndarray:
-        if speed == 0.0:
-            return np.eye(3)
         return rotation_about_axis(axis, speed * t)
 
     def omega_sq_matrix(t: float) -> np.ndarray:
@@ -435,8 +423,11 @@ def bisect_stability_boundary(
     """Locate a stability-boundary crossing of |trace| - 2 by bisection.
 
     `make_system(p)` returns a HillSystem, whose monodromy takes `n_steps`
-    RK4 steps; lo and hi must bracket a sign change of |trace| - 2.
+    RK4 steps; lo and hi must bracket a sign change of |trace| - 2, and
+    0 < tol < inf.
     """
+    if not (0 < tol < math.inf):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def excess(p: float) -> float:
         return abs(hill_monodromy(make_system(p), n_steps).trace) - 2.0

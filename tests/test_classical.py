@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldosc import classical
+from fieldosc.tdfields import RotatingField, coriolis_elimination, corotating_reduction
 from fieldosc.core import OscParams, block_propagate_path, block_propagator, rotation_about_z
 from fieldosc.classical import (
     Drive,
@@ -20,7 +21,6 @@ from fieldosc.classical import (
     h2_evaluator,
     moving_origin_map,
     rk4_hamiltonian_flow,
-    rotating_frame_map,
     solve_driven,
     symplectic_defect,
 )
@@ -188,7 +188,7 @@ class TestHamiltonians:
         # generating function, computed here by finite differences
         field = StaticField(b3=1.9, e=(0.15, -0.32, 0.21))
         params = field.osc_params
-        frame = rotating_frame_map(field)
+        frame = frame_rotation(field.frame_rate)
         rng = np.random.default_rng(7)
         for _ in range(5):
             z = rng.normal(scale=0.8, size=6)
@@ -277,7 +277,7 @@ class TestSolveDriven:
 
 class TestRotatingFrameMap:
     def test_identity_at_zero_time(self):
-        frame = rotating_frame_map(StaticField(b3=2.2))
+        frame = frame_rotation(StaticField(b3=2.2).frame_rate)
         z = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         assert np.array_equal(frame.forward(0.0, z), z)
         assert frame.phase_A(1.0) == 0.0
@@ -286,7 +286,7 @@ class TestRotatingFrameMap:
         field = StaticField(b3=2.0)
         t = 2.0 * math.pi / field.cyclotron_rate  # frame angle = pi
         z = np.array([0.3, -0.2, 0.5, 0.1, 0.7, -0.4])
-        out = frame = rotating_frame_map(field).forward(t, z)
+        out = frame = frame_rotation(field.frame_rate).forward(t, z)
         assert np.allclose(out[:4], -z[:4], atol=1e-13)
         assert np.allclose(out[4:], z[4:], atol=0)
 
@@ -299,7 +299,7 @@ class TestRotatingFrameMap:
 
     def test_time_array_matches_scalar_calls(self):
         field = StaticField(b3=-2.3, e=(0.1, 0.2, -0.1), charge=0.7)
-        frame = rotating_frame_map(field)
+        frame = frame_rotation(field.frame_rate)
         times = np.linspace(0.0, 4.0, 41)
         path = np.random.default_rng(3).normal(size=(41, 6))
         rows = np.array([frame.forward(t, z) for t, z in zip(times, path)])
@@ -321,7 +321,7 @@ class TestRotatingFrameMap:
     @given(t=st.floats(0.0, 5.0), seed=st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_symplectic(self, t, seed):
-        frame = rotating_frame_map(StaticField(b3=1.8))
+        frame = frame_rotation(StaticField(b3=1.8).frame_rate)
         z = np.random.default_rng(seed).normal(size=6)
         assert symplectic_defect(frame.forward, t, z) <= 1e-9
 
@@ -457,6 +457,25 @@ class TestRK4Oracle:
             with pytest.raises(FlowBlowupError):
                 rk4_hamiltonian_flow(_runaway, np.array([1.0, 0.0]), 5.0, 1e-2)
 
+    @pytest.mark.parametrize(
+        "t, dt, name",
+        [
+            (-5.0, 1e-3, "t"),
+            (math.inf, 1e-3, "t"),
+            (math.nan, 1e-3, "t"),
+            (1.0, math.inf, "dt"),
+            (1.0, math.nan, "dt"),
+            (1.0, 0.0, "dt"),
+            (1.0, -1e-3, "dt"),
+        ],
+    )
+    def test_bad_horizon_rejected(self, t, dt, name):
+        # t = -5 used to take one backward step of h = -5, dt = inf one
+        # step of the whole horizon, and t = inf an OverflowError
+        z0 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            rk4_hamiltonian_flow(h2_evaluator(OscParams(1.0, 1.0), Drive.zero()), z0, t, dt)
+
     def test_bit_identical_to_reference_step(self):
         rng = np.random.default_rng(8)
         fields = [
@@ -520,7 +539,7 @@ class TestEndToEndEquivalence:
         z0 = np.array([0.3, -0.2, 0.15, 0.4, -0.1, 0.25])
         horizon = 3.0
         times, path = rk4_hamiltonian_flow(h1_evaluator(field), z0, horizon, 1e-3)
-        frame = rotating_frame_map(field)
+        frame = frame_rotation(field.frame_rate)
         mover = moving_origin_map(params, field.rotated_drive(), 1000.0)
         reference = block_propagate_path(params, z0, times)
         for idx in (300, 1500, 3000):
@@ -553,3 +572,50 @@ class TestEndToEndEquivalence:
         assert rep.symplectic_defect_rotating <= 1e-8
         assert rep.symplectic_defect_moving <= 1e-8
         assert rep.phase_max_abs > 0.0
+
+
+def _state_takers() -> dict:
+    """Every evaluator and map that takes a phase state, as z -> result."""
+    field = StaticField(b3=1.3, e=(0.1, -0.2, 0.05))
+    params, drive = field.osc_params, field.rotated_drive()
+    reduced, corotating = corotating_reduction(RotatingField(b1=0.7, b3=1.1, alpha=0.9))
+    _, coriolis = coriolis_elimination(reduced)
+    takers = {
+        "eval_H1": lambda z: eval_H1(field, z),
+        "eval_H2": lambda z: eval_H2(params, drive, z, 0.3),
+        "block_propagate_path": lambda z: block_propagate_path(params, z, [0.0, 0.3]),
+        "solve_driven": lambda z: solve_driven(params, drive, z, 0.3, QUAD),
+        "symplectic_defect": lambda z: symplectic_defect(lambda t, y: y, 0.3, z),
+    }
+    maps = {
+        "frame": frame_rotation(field.frame_rate),
+        "corotating": corotating,
+        "coriolis": coriolis,
+        "moving-origin": moving_origin_map(params, drive, QUAD),
+    }
+    for name, cmap in maps.items():
+        takers[f"{name}.forward"] = lambda z, f=cmap.forward: f(0.3, z)
+        takers[f"{name}.inverse"] = lambda z, f=cmap.inverse: f(0.3, z)
+    return takers
+
+
+_STATE_TAKERS = _state_takers()
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (np.zeros(2), "6 components"),
+        (np.zeros(4), "6 components"),
+        (np.zeros(5), "6 components"),
+        (np.array([0.1, 0.2, math.nan, 0.4, 0.5, 0.6]), "finite"),
+    ],
+    ids=["2", "4", "5", "nan"],
+)
+@pytest.mark.parametrize("taker", sorted(_STATE_TAKERS))
+def test_phase_state_contract(taker, state, message):
+    # a phase state is six finite components: the frame map used to raise
+    # IndexError on two, and the Coriolis map to pass nan through and fail
+    # inside numpy's matmul on four or five
+    with pytest.raises(ValueError, match=message):
+        _STATE_TAKERS[taker](state)

@@ -137,19 +137,19 @@ class TestShiftExpansion:
 
 class TestRotatedProducts:
     def test_identity_rotation(self):
-        coeffs = rotated_product_coefficients(2, 1, 0.0)
+        coeffs, _ = rotated_product_coefficients(2, 1, 0.0)
         assert coeffs[(2, 1)] == pytest.approx(1.0, abs=1e-14)
         off = [abs(c) for key, c in coeffs.items() if key != (2, 1)]
         assert max(off) <= 1e-14
 
     def test_single_quantum(self):
         theta = 0.77
-        coeffs = rotated_product_coefficients(1, 0, theta)
+        coeffs, _ = rotated_product_coefficients(1, 0, theta)
         assert coeffs[(1, 0)] == pytest.approx(math.cos(theta), abs=1e-10)
         assert coeffs[(0, 1)] == pytest.approx(math.sin(theta), abs=1e-10)
 
     def test_two_quanta_quarter_turn(self):
-        coeffs = rotated_product_coefficients(2, 0, math.pi / 2)
+        coeffs, _ = rotated_product_coefficients(2, 0, math.pi / 2)
         assert abs(coeffs[(0, 2)]) == pytest.approx(1.0, abs=1e-12)
         assert abs(coeffs[(2, 0)]) <= 1e-12
         assert abs(coeffs[(1, 1)]) <= 1e-12
@@ -159,16 +159,12 @@ class TestRotatedProducts:
         theta = 0.43
         mat = np.zeros((level + 1, level + 1))
         for k1 in range(level + 1):
-            coeffs = rotated_product_coefficients(k1, level - k1, theta)
-            assert coeffs.leakage <= 1e-10
-            assert abs(coeffs.l2() - 1.0) <= 1e-8
+            coeffs, leakage = rotated_product_coefficients(k1, level - k1, theta)
+            assert leakage <= 1e-10
+            assert abs(math.sqrt(sum(c * c for c in coeffs.values())) - 1.0) <= 1e-8
             for (m1, _), c in coeffs.items():
                 mat[k1, m1] = c
         assert np.max(np.abs(mat @ mat.T - np.eye(level + 1))) <= 1e-8
-
-    def test_order_too_small_detected(self):
-        with pytest.raises(ValueError, match="order"):
-            rotated_product_coefficients(4, 3, 0.9, order=5)
 
     @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_rejected(self, theta):
@@ -355,6 +351,24 @@ class TestSplitStep:
         fast = Drive.sinusoids([(200.0, (0.1, 0.0, 0.0), (0.0, 0.0, 0.0))])
         with pytest.raises(ValueError, match="time scale"):
             split_step_evolve(psi, driven_hamiltonian(OscParams(), fast), 1.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "t, dt, name",
+        [
+            (-1.0, 1e-3, "t"),
+            (math.inf, 1e-3, "t"),
+            (math.nan, 1e-3, "t"),
+            (1.0, math.inf, "dt"),
+            (1.0, math.nan, "dt"),
+            (1.0, 0.0, "dt"),
+        ],
+    )
+    def test_bad_horizon_rejected(self, t, dt, name):
+        # t = -1 used to take one Strang step of h = -1
+        grid = Grid(dims=1, n=16, half_width=8.0)
+        psi = gaussian_wavepacket(grid, (0.0,), (0.0,), (1.0,))
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            split_step_evolve(psi, oscillator_hamiltonian(OscParams()), t, dt)
 
 
 def _reference_rotate(plan, values):

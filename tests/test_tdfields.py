@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from fieldosc.core import cross_matrix, rotation_about_z
+from fieldosc.core import OscParams, cross_matrix, rotation_about_z
 from fieldosc.classical import (
     StaticField,
     equivalence_report,
+    frame_rotation,
     h1_evaluator,
     rk4_hamiltonian_flow,
-    rotating_frame_map,
     symplectic_defect,
 )
 from fieldosc.tdfields import (
@@ -123,6 +123,21 @@ def monodromy_oracle(sys: HillSystem) -> np.ndarray:
     return np.array([[y[0], y[1]], [y[2], y[3]]])
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.inf, math.nan])
+def test_fields_reject_bad_mass(mass):
+    # FixedAxisField(mass=0) used to give "unstable" after RuntimeWarnings,
+    # mass=-1 "stable", and RotatingField(mass=0) a ZeroDivisionError
+    makers = (
+        lambda: FixedAxisField(b3=lambda t: 1.0 + 0.0 * t, mass=mass),
+        lambda: RotatingField(b1=0.7, b3=1.1, alpha=0.9, mass=mass),
+        lambda: StaticField(b3=1.0, mass=mass),
+        lambda: OscParams(mass, 1.0),
+    )
+    for make in makers:
+        with pytest.raises(ValueError, match="mass"):
+            make()
+
+
 class TestFixedAxisRotation:
     def test_constant_field_reduces_to_plain_rotation(self):
         field = FixedAxisField(b3=lambda t: np.full_like(np.asarray(t, float), 1.4),
@@ -213,8 +228,9 @@ class TestCorotatingReduction:
         # must match the eigenvalues of the Coriolis generator
         field = RotatingField(b1=0.7, b3=1.1, alpha=0.9)
         reduced, _ = corotating_reduction(field)
+        system, _ = coriolis_elimination(reduced)
         expected = math.sqrt((0.7 / 2.0) ** 2 + (0.9 + 1.1 / 2.0) ** 2)
-        assert reduced.speed == pytest.approx(expected, abs=1e-14)
+        assert 2.0 * math.pi / system.period == pytest.approx(expected, abs=1e-14)
         eigs = np.linalg.eigvals(reduced.coriolis)
         assert np.max(np.abs(np.sort(np.abs(eigs.imag)) - [0.0, expected, expected])) <= 1e-12
 
@@ -249,7 +265,7 @@ class TestCorotatingReduction:
         # checks its states as that map does
         field = RotatingField(b1=0.5, b3=1.3, alpha=0.8)
         _, cmap = corotating_reduction(field)
-        static = rotating_frame_map(StaticField(b3=-1.6))  # frame rate -0.8
+        static = frame_rotation(StaticField(b3=-1.6).frame_rate)  # frame rate -0.8
         z = np.random.default_rng(4).normal(size=(7, 6))
         times = np.linspace(0.0, 3.0, 7)
         assert np.array_equal(cmap.forward(times, z), static.forward(times, z))
@@ -292,7 +308,8 @@ class TestCoriolisElimination:
     def test_stiffness_period(self):
         reduced, _ = corotating_reduction(self.FIELD)
         system, _ = coriolis_elimination(reduced)
-        assert system.period == pytest.approx(2.0 * math.pi / reduced.speed)
+        speed = np.max(np.abs(np.linalg.eigvals(reduced.coriolis).imag))
+        assert system.period == pytest.approx(2.0 * math.pi / speed)
         defect = np.max(
             np.abs(system.omega_sq_matrix(0.77 + system.period) - system.omega_sq_matrix(0.77))
         )
@@ -452,6 +469,13 @@ class TestMathieuStability:
         for edge in (lo, hi):
             trace = np.trace(monodromy_oracle(mathieu_hill(edge, q)))
             assert abs(abs(trace) - 2.0) <= 1e-6
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_bisection_needs_positive_finite_tol(self, tol):
+        # tol = nan used to return the bracket midpoint, and tol <= 0 to
+        # loop for ever
+        with pytest.raises(ValueError, match="tol"):
+            bisect_stability_boundary(lambda a: mathieu_hill(a, 0.1), 0.7, 1.0, tol=tol)
 
     def test_stability_map_constant_row(self):
         a_values = np.array([0.3, 0.7, 1.44, 2.1])
