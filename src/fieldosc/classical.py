@@ -35,6 +35,7 @@ from .core import (
     _PANELS_PER_UNIT,
     OscParams,
     _as_state,
+    _as_times,
     _check_mass,
     _fixed_steps,
     _sin_over_mw,
@@ -42,7 +43,6 @@ from .core import (
     cumulative_simpson,
     rk4_steps,
     simpson_panels,
-    symplectic_form,
 )
 
 __all__ = [
@@ -67,6 +67,9 @@ __all__ = [
 
 _FD_STEP = 1e-5  # relative step of the finite-difference gradients and Jacobians
 _SYMPLECTIC_SAMPLES = 20  # random (t, z) points at which the report checks each map
+
+# the symplectic form of the interleaved layout: [[0, 1], [-1, 0]] per (Q, P) pair
+_SIGMA = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
 
 
 class FlowBlowupError(RuntimeError):
@@ -353,14 +356,17 @@ def frame_rotation(rate: float) -> CanonicalMap:
 
     At `field.frame_rate`, half the cyclotron rate, it is the map into the
     rotating frame, where the magnetic term disappears and the dynamics is
-    the driven oscillator with the force `field.rotated_drive()`.
+    the driven oscillator with the force `field.rotated_drive()`.  The
+    rate and the times must be finite.
     """
+    if not math.isfinite(rate):
+        raise ValueError(f"frame rate must be finite, got {rate}")
 
     def forward(t, z):
-        return _rotate_pairs(_as_state(z), rate * np.asarray(t, dtype=float))
+        return _rotate_pairs(_as_state(z), rate * _as_times(t))
 
     def inverse(t, z):
-        return _rotate_pairs(_as_state(z), -rate * np.asarray(t, dtype=float))
+        return _rotate_pairs(_as_state(z), -rate * _as_times(t))
 
     return CanonicalMap(forward=forward, inverse=inverse, phase_A=lambda t: 0.0)
 
@@ -508,14 +514,12 @@ def symplectic_defect(map_fn: Callable, t: float, z) -> float:
     """Max-norm defect J^T Sigma J - Sigma of the finite-difference
     Jacobian of `map_fn(t, .)` at z (step 1e-5*(1 + max|z|))."""
     z = _as_state(z)
-    dim = z.shape[-1]
-    sigma = symplectic_form(dim // 2)
     scale = _FD_STEP * (1.0 + float(np.max(np.abs(z))))
-    disp = scale * np.eye(dim)
+    disp = scale * np.eye(6)
     plus = map_fn(t, z[None, :] + disp)
     minus = map_fn(t, z[None, :] - disp)
     jac = (plus - minus).T / (2.0 * scale)
-    return float(np.max(np.abs(jac.T @ sigma @ jac - sigma)))
+    return float(np.max(np.abs(jac.T @ _SIGMA @ jac - _SIGMA)))
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +560,7 @@ def equivalence_report(
     frame = frame_rotation(field.frame_rate)
     drive = field.rotated_drive()
 
-    steps = max(2, int(round(horizon / dt)))
+    steps = max(2, _fixed_steps(horizon, dt)[0])
     steps += steps % 2
     times, oracle = rk4_hamiltonian_flow(h1_evaluator(field), z0, horizon, horizon / steps)
 

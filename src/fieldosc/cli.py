@@ -493,14 +493,13 @@ def _run_case2(sc: Scenario):
     rng = np.random.default_rng(p["seed"])
     period = system.period if math.isfinite(system.period) else 2.0 * math.pi
 
-    conj = max(
-        frame_conjugation_defect(field, t)
-        for t in np.linspace(0.0, period, p["samples"])
-    )
-    antisym = float(np.max(np.abs(reduced.coriolis + reduced.coriolis.T)))
+    coriolis = reduced.coriolis
+    antisym = float(np.max(np.abs(coriolis + coriolis.T)))
+    conj = 0.0
     sym_defect = 0.0
     psd_defect = 0.0
     for t in np.linspace(0.0, period, p["samples"]):
+        conj = max(conj, frame_conjugation_defect(field, t))
         s = system.omega_sq_matrix(float(t))
         sym_defect = max(sym_defect, float(np.max(np.abs(s - s.T))))
         psd_defect = max(psd_defect, max(0.0, -float(np.min(np.linalg.eigvalsh(s)))))

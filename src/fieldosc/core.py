@@ -27,7 +27,6 @@ __all__ = [
     "block_propagate_path",
     "block_propagator",
     "energy_form_6x6",
-    "symplectic_form",
     "composite_simpson",
     "cumulative_simpson",
     "rk4_steps",
@@ -73,12 +72,22 @@ def _fixed_steps(t: float, dt: float) -> tuple[int, float]:
     return steps, t / steps
 
 
+def _as_times(t) -> np.ndarray:
+    """The package's one time check: t as a float array of finite times."""
+    times = np.asarray(t, dtype=float)
+    if not np.isfinite(times).all():
+        shown = f", got {t}" if times.ndim == 0 else ""
+        raise ValueError(f"time must be finite{shown}")
+    return times
+
+
 def simpson_panels(panels_per_unit: float, span: float) -> int:
     """Panel count of a composite-Simpson quadrature over `span` at
     `panels_per_unit` panels per unit time: never fewer than 32, always
     even.  The one place a quadrature resolution is checked."""
     if not (panels_per_unit > 0):
         raise ValueError("quadrature resolution must be positive")
+    span = float(_as_times(span))
     n = max(_MIN_PANELS, int(math.ceil(panels_per_unit * abs(span))))
     return n + (n % 2)
 
@@ -157,9 +166,7 @@ def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
     (len(times), ..., 6).
     """
     z0 = _as_state(z0)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if not np.isfinite(times).all():
-        raise ValueError("time must be finite")
+    times = np.atleast_1d(_as_times(times))
     m, w = params.mass, params.omega
     out = np.empty(times.shape + z0.shape)
     pad = (...,) + (None,) * (z0.ndim - 1)
@@ -197,16 +204,6 @@ def energy_form_6x6(params: OscParams) -> np.ndarray:
     conserved homogeneous-orbit energy."""
     m, w = params.mass, params.omega
     return np.diag([m * w * w, 1.0 / m, m * w * w, 1.0 / m, 0.0, 1.0 / m])
-
-
-def symplectic_form(dof: int) -> np.ndarray:
-    """Standard symplectic form in the interleaved layout: block-diagonal
-    copies of [[0, 1], [-1, 0]], one per degree of freedom."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * dof, 2 * dof))
-    for i in range(dof):
-        out[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = j
-    return out
 
 
 def composite_simpson(values: np.ndarray, dx: float) -> np.ndarray:

@@ -312,6 +312,8 @@ class _RotationPlan:
     (|residual| <= pi/4, so the shear tangents stay bounded)."""
 
     def __init__(self, grid: Grid, angle: float):
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle must be finite, got {angle}")
         angle = math.remainder(angle, 2.0 * math.pi)
         self.quarters = int(round(angle / (math.pi / 2.0)))
         residual = angle - self.quarters * (math.pi / 2.0)

@@ -13,7 +13,7 @@ Hill system handed to the monodromy machinery below.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .core import (
     _PANELS_PER_UNIT, _as_state, _check_mass, composite_simpson, cross_matrix, rk4_steps,
     rotation_about_z, simpson_panels, stage_memo,
 )
-from .classical import CanonicalMap, frame_rotation
+from .classical import CanonicalMap, Drive, frame_rotation
 
 __all__ = [
     "FixedAxisField",
@@ -39,7 +39,6 @@ __all__ = [
     "h4_evaluator",
     "corotating_reduction",
     "coriolis_elimination",
-    "rotation_about_axis",
     "mathieu_omega_sq",
     "mathieu_hill",
     "hill_monodromy",
@@ -75,15 +74,19 @@ class FixedAxisField:
         """Instantaneous rotation rate q*B3(t)/m."""
         return self.charge * _eval_time_function(self.b3, t) / self.mass
 
+    def frame_rate(self, t):
+        """Angular speed of the frame that removes the magnetic term: half the rate."""
+        return 0.5 * self.rate(t)
+
 
 @dataclass(frozen=True)
 class RotatingField:
-    """Magnetic field rotating about z: B(t) = R_z(alpha t) (B1, 0, B3)."""
+    """Magnetic field B(t) = R_z(alpha t) (B1, 0, B3) rotating about z; E0 is a `Drive`."""
 
     b1: float
     b3: float
     alpha: float
-    e0: Callable | None = None
+    e0: Drive = dataclass_field(default_factory=Drive.zero)
     charge: float = 1.0
     mass: float = 1.0
 
@@ -108,11 +111,11 @@ def accumulated_rotation(field: FixedAxisField, t: float) -> np.ndarray:
 
 def fixed_axis_hill(field: FixedAxisField, period: float) -> "HillSystem":
     """Reduced planar dynamics of the fixed-axis case: an oscillator whose
-    frequency is half the instantaneous rotation rate, i.e. a Hill system
-    with omega^2(t) = (q B3(t) / 2m)^2."""
+    frequency is the frame rate, half the instantaneous rotation rate, i.e.
+    a Hill system with omega^2(t) = (q B3(t) / 2m)^2."""
 
     def omega_sq(t):
-        half = 0.5 * field.rate(t)
+        half = field.frame_rate(t)
         return half * half
 
     return HillSystem(omega_sq=omega_sq, period=period)
@@ -153,10 +156,7 @@ def h4_evaluator(field: RotatingField) -> Callable:
         p = z[..., 1::2]
         v = p - 0.5 * m * (x @ w.T)
         kinetic = np.sum(v * v, axis=-1) / (2.0 * m)
-        if field.e0 is None:
-            return kinetic
-        e = np.asarray(field.e0(float(t)), dtype=float)
-        return kinetic - q * (x @ e)
+        return kinetic - q * (x @ field.e0(float(t)))
 
     return evaluate
 
@@ -168,30 +168,32 @@ class ReducedQuadraticHamiltonian:
         P^2/2m - <P, M Q> + (m/8) <Q, W0^T W0 Q> - q <Q, E1(t)>
 
     with M = W0/2 + L antisymmetric (L the frame generator) and
-    E1(t) = R(-alpha t) E0(t); m, q, alpha and E0 are the `field`'s.
+    E1(t) = R(-alpha t) E0(t), all computed from the `field`.
     """
 
     field: RotatingField
-    coriolis: np.ndarray
-    omega1_0: np.ndarray
+
+    @property
+    def coriolis(self) -> np.ndarray:
+        """Antisymmetric matrix M = W0/2 + L of the <P, M Q> coupling."""
+        w0 = rotating_field_generator(self.field, 0.0)
+        return 0.5 * w0 + cross_matrix((0.0, 0.0, self.field.alpha))
 
     @property
     def stiffness_form(self) -> np.ndarray:
         """Symmetric PSD matrix W0^T W0 of the quadratic potential."""
-        return self.omega1_0.T @ self.omega1_0
+        w0 = rotating_field_generator(self.field, 0.0)
+        return w0.T @ w0
 
     def value(self, z, t) -> np.ndarray:
-        m, e0 = self.field.mass, self.field.e0
+        m, t = self.field.mass, float(t)
         q_ = z[..., 0::2]
         p_ = z[..., 1::2]
         kinetic = np.sum(p_ * p_, axis=-1) / (2.0 * m)
         cross = -np.sum(p_ * (q_ @ self.coriolis.T), axis=-1)
         w = self.stiffness_form
         potential = (m / 8.0) * np.sum(q_ * (q_ @ w.T), axis=-1)
-        e1 = np.zeros(3)  # E1(t) = R(-alpha t) E0(t)
-        if e0 is not None:
-            t = float(t)
-            e1 = rotation_about_z(-self.field.alpha * t) @ np.asarray(e0(t), dtype=float)
+        e1 = rotation_about_z(-self.field.alpha * t) @ self.field.e0(t)
         electric = -self.field.charge * (q_ @ e1)
         return kinetic + cross + potential + electric
 
@@ -202,17 +204,7 @@ def corotating_reduction(field: RotatingField) -> tuple[ReducedQuadraticHamilton
     Returns the reduced Hamiltonian data and the map (Q, P) = (R(-at) x,
     R(-at) p), the frame rotation at rate -alpha.
     """
-    w0 = rotating_field_generator(field, 0.0)
-    lam = cross_matrix((0.0, 0.0, field.alpha))
-    reduced = ReducedQuadraticHamiltonian(field=field, coriolis=0.5 * w0 + lam, omega1_0=w0)
-    return reduced, frame_rotation(-field.alpha)
-
-
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rodrigues rotation by `angle` about a unit `axis`."""
-    n = np.asarray(axis, dtype=float)
-    k = cross_matrix(n)
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+    return ReducedQuadraticHamiltonian(field), frame_rotation(-field.alpha)
 
 
 def _apply_linear_pairs(z: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -241,10 +233,13 @@ def coriolis_elimination(
     speed = float(np.linalg.norm(axis))
     if speed > 0:
         axis = axis / speed
+    k = cross_matrix(axis)
+    k2 = k @ k
     w = reduced.stiffness_form
 
     def group(t: float) -> np.ndarray:
-        return rotation_about_axis(axis, speed * t)
+        angle = speed * t
+        return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * k2
 
     def omega_sq_matrix(t: float) -> np.ndarray:
         g = group(t)
@@ -278,10 +273,6 @@ class HillSystem:
 
     omega_sq: Callable
     period: float
-
-    def __post_init__(self):
-        if not (0.0 < self.period < math.inf):
-            raise ValueError("period must be positive and finite")
 
     def omega_sq_values(self, t) -> np.ndarray:
         return _eval_time_function(self.omega_sq, t)
@@ -325,8 +316,11 @@ def _monodromy_matrices(
     `omega_sq_values(t)` may return a scalar or a batch (B,); the result
     has shape (..., 2, 2) accordingly.  Runs vectorized over the batch, on
     the four matrix entries updated entrywise: a matrix product would turn
-    0 * inf into nan where a runaway row overflows.  `n_steps` must be >= 1.
+    0 * inf into nan where a runaway row overflows.  The one check of
+    both entry points: 0 < period < inf and `n_steps` >= 1.
     """
+    if not (0.0 < period < math.inf):
+        raise ValueError(f"period must be positive and finite, got {period}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     neg_w2 = stage_memo(lambda t: np.negative(omega_sq_values(t), dtype=float))

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fieldosc import classical
-from fieldosc.tdfields import RotatingField, coriolis_elimination, corotating_reduction
+from fieldosc.tdfields import (
+    FixedAxisField,
+    RotatingField,
+    accumulated_rotation,
+    coriolis_elimination,
+    corotating_reduction,
+)
 from fieldosc.core import OscParams, block_propagate_path, block_propagator, rotation_about_z
 from fieldosc.classical import (
     Drive,
@@ -518,6 +524,22 @@ class TestRK4Oracle:
 
 
 class TestEndToEndEquivalence:
+    @pytest.mark.parametrize(
+        "horizon, dt, message",
+        [
+            (1.0, 0.0, "^dt must"),
+            (1.0, math.nan, "^dt must"),
+            (math.nan, 1e-3, "^t must"),
+            (math.inf, 1e-3, "^t must"),
+        ],
+    )
+    def test_bad_horizon_or_step_rejected(self, horizon, dt, message):
+        # the report takes its step count from the integrators' step rule:
+        # dt = 0 used to raise ZeroDivisionError, and a NaN "cannot
+        # convert float NaN to integer"
+        with pytest.raises(ValueError, match=message):
+            equivalence_report(StaticField(b3=1.0), np.zeros(6), horizon, dt=dt)
+
     def test_report_makes_one_forced_pass_per_time(self, monkeypatch):
         calls = []
         original = classical._forced_path_on
@@ -619,3 +641,31 @@ def test_phase_state_contract(taker, state, message):
     # inside numpy's matmul on four or five
     with pytest.raises(ValueError, match=message):
         _STATE_TAKERS[taker](state)
+
+
+_TIME_TAKERS = {
+    "moving-origin.forward": lambda t: moving_origin_map(OscParams(), Drive.zero()).forward(
+        t, np.zeros(6)
+    ),
+    "accumulated-rotation": lambda t: accumulated_rotation(FixedAxisField(b3=np.cos), t),
+    "frame.forward": lambda t: frame_rotation(1.0).forward(t, np.zeros(6)),
+    "frame.inverse": lambda t: frame_rotation(1.0).inverse(t, np.zeros(6)),
+    "frame.forward-array": lambda t: frame_rotation(1.0).forward([0.0, t], np.zeros(6)),
+    "block-propagate-path": lambda t: block_propagate_path(OscParams(), np.zeros(6), t),
+}
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("taker", sorted(_TIME_TAKERS))
+def test_time_contract(taker, t):
+    # a time is finite: the quadratures used to fail with "cannot convert
+    # float NaN to integer" and the frame maps to return NaN pairs
+    with pytest.raises(ValueError, match="time must be finite"):
+        _TIME_TAKERS[taker](t)
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_frame_rate_must_be_finite(rate):
+    # frame_rotation(nan).forward(1.0, ones) used to give [nan nan nan nan 1 1]
+    with pytest.raises(ValueError, match="rate"):
+        frame_rotation(rate)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fieldosc import core
 from fieldosc.core import (
     OscParams,
     block_propagate_path,
@@ -195,6 +196,25 @@ class TestSimpson:
     def test_rejects_odd_panel_count(self):
         with pytest.raises(ValueError):
             composite_simpson(np.zeros(4), 0.1)
+
+
+class TestTimeCheck:
+    def test_finite_times_pass_as_floats(self):
+        times = core._as_times([0, 1.5, -2])
+        assert times.dtype == float and np.array_equal(times, [0.0, 1.5, -2.0])
+        assert core._as_times(3).shape == ()
+
+    def test_message_names_the_time(self):
+        with pytest.raises(ValueError, match="^time must be finite, got nan$"):
+            core._as_times(math.nan)
+        # an array's message is kept short
+        with pytest.raises(ValueError, match="^time must be finite$"):
+            core._as_times(np.full(1000, math.inf))
+
+    @pytest.mark.parametrize("span", [math.nan, math.inf])
+    def test_simpson_panels_checks_its_span(self, span):
+        with pytest.raises(ValueError, match="time must be finite"):
+            core.simpson_panels(100.0, span)
 
 
 class TestStageMemo:

@@ -216,6 +216,25 @@ class TestUnitaryRotation:
         with pytest.raises(GridSupportError):
             unitary_rotation(psi, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_angle_must_be_finite(self, bad):
+        # the rotation plan checks its angle, for every rotation: a NaN
+        # angle used to fail with "cannot convert float NaN to integer"
+        grid = Grid(dims=2, n=32, half_width=8.0)
+        psi = gaussian_wavepacket(grid, (0.0, 0.0), (0.0, 0.0), 0.8)
+        planar = dataclasses.replace(
+            planar_field_hamiltonian(StaticField(b3=1.0)), rotation_rate=bad
+        )
+        calls = (
+            lambda: _RotationPlan(grid, bad),
+            lambda: spectral_rotate(psi.values, grid, bad),
+            lambda: unitary_rotation(psi, 1.0, bad),
+            lambda: split_step_evolve(psi, planar, 0.1, 0.01),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="angle"):
+                call()
+
 
 class TestUnitaryMovingOrigin:
     def make_mover(self, params, drive):

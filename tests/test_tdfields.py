@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from fieldosc.core import OscParams, cross_matrix, rotation_about_z
 from fieldosc.classical import (
+    Drive,
     StaticField,
     equivalence_report,
     frame_rotation,
@@ -18,6 +20,7 @@ from fieldosc.classical import (
 from fieldosc.tdfields import (
     FixedAxisField,
     HillSystem,
+    ReducedQuadraticHamiltonian,
     RotatingField,
     accumulated_rotation,
     bisect_stability_boundary,
@@ -177,6 +180,16 @@ class TestFixedAxisRotation:
         expected = (0.5 * (2.0 + np.sin(t)) / 2.0) ** 2
         assert np.allclose(sys.omega_sq_values(t), expected, atol=1e-14)
 
+    def test_frame_rate_is_half_the_rate(self):
+        # the Hill frequency is read from the field's frame rate, which is
+        # half the rate bit for bit
+        field = FixedAxisField(b3=lambda t: 2.0 + np.sin(t), charge=1.5, mass=2.0)
+        t = np.array([0.0, 1.0, 2.5])
+        half = field.frame_rate(t)
+        assert np.array_equal(half, 0.5 * field.rate(t))
+        sys = fixed_axis_hill(field, period=2.0 * math.pi)
+        assert np.array_equal(sys.omega_sq_values(t), half * half)
+
 
 class TestRotatingGenerator:
     FIELD = RotatingField(b1=0.7, b3=1.1, alpha=0.9)
@@ -212,6 +225,27 @@ class TestRotatingGenerator:
 
 
 class TestCorotatingReduction:
+    def test_reduced_hamiltonian_holds_only_its_field(self):
+        # M = W0/2 + L and W0^T W0 are computed from the field, bit for bit
+        field = RotatingField(b1=0.7, b3=1.1, alpha=0.9)
+        reduced = ReducedQuadraticHamiltonian(field)
+        w0 = rotating_field_generator(field, 0.0)
+        assert [f.name for f in dataclasses.fields(reduced)] == ["field"]
+        assert np.array_equal(reduced.coriolis, 0.5 * w0 + cross_matrix((0.0, 0.0, 0.9)))
+        assert np.array_equal(reduced.stiffness_form, w0.T @ w0)
+        assert corotating_reduction(field)[0].field is field
+
+    def test_e0_is_a_drive(self):
+        # E0 defaults to the zero drive, and a non-finite E0 is rejected
+        # when it is built: a NaN lambda used to give NaN energies
+        field = RotatingField(b1=0.7, b3=1.1, alpha=0.9)
+        assert isinstance(field.e0, Drive)
+        assert np.array_equal(field.e0(1.3), np.zeros(3))
+        z = np.random.default_rng(2).normal(size=(4, 6))
+        assert np.all(np.isfinite(h4_evaluator(field)(z, 0.4)))
+        with pytest.raises(ValueError, match="finite"):
+            RotatingField(0.7, 1.1, 0.9, e0=Drive.constant((math.nan, 0.0, 0.0)))
+
     def test_static_limit_coriolis(self):
         field = RotatingField(b1=0.0, b3=1.5, alpha=0.0)
         reduced, _ = corotating_reduction(field)
@@ -238,7 +272,8 @@ class TestCorotatingReduction:
         # H5 on mapped trajectories equals H4 plus dF/dt along the flow
         field = RotatingField(
             b1=0.7, b3=1.1, alpha=0.9,
-            e0=lambda t: np.array([0.1 * math.cos(0.5 * t), -0.05, 0.08]),
+            e0=Drive.sinusoids([(0.5, (0.1, 0.0, 0.0), (0.0, 0.0, 0.0)),
+                                (0.0, (0.0, -0.05, 0.08), (0.0, 0.0, 0.0))]),
         )
         reduced, cmap = corotating_reduction(field)
         h4 = h4_evaluator(field)
@@ -321,7 +356,7 @@ class TestStaticLimit:
         # alpha = 0, B1 = 0, constant E: the rotating-field energy is the
         # static-field energy, and the static chain passes its tolerances
         e = (0.1, -0.2, 0.15)
-        rot = RotatingField(b1=0.0, b3=2.1, alpha=0.0, e0=lambda t: np.array(e))
+        rot = RotatingField(b1=0.0, b3=2.1, alpha=0.0, e0=Drive.constant(e))
         static = StaticField(b3=2.1, e=e)
         h4 = h4_evaluator(rot)
         h1 = h1_evaluator(static)
@@ -356,10 +391,15 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("period", [0.0, -1.0, math.inf, math.nan])
     def test_period_must_be_positive_and_finite(self, period):
-        # an infinite period used to give a nan monodromy, classified
-        # "unstable" for the stable omega^2 = 1
+        # both entry points share the check; an infinite period used to give
+        # a nan monodromy, classified "unstable" for the stable omega^2 = 1,
+        # and stability_map checked no period at all
         with pytest.raises(ValueError, match="period"):
-            HillSystem(lambda t: 1.0 + 0 * t, period)
+            hill_monodromy(HillSystem(lambda t: 1.0 + 0 * t, period), 16)
+        with pytest.raises(ValueError, match="period"):
+            stability_map(
+                lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t), period, [0.5, 1.0], [0.1], 16
+            )
 
     def test_n_steps_must_be_positive(self):
         # both entry points share the check; -5 used to give trace 2.0 and
