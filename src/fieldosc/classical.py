@@ -439,15 +439,15 @@ def rk4_hamiltonian_flow(
     """Classic RK4 integration of dz/dt = Sigma grad H, with the gradient
     obtained by central finite differences (step 1e-5*(1 + max|z|)).
 
-    z0 may be a batch (..., 2n) of finite states with 2n = 2 or 6; t >= 0
-    and dt > 0 must be finite.  `hamiltonian(z, t)` must broadcast over
-    the leading axes of z: each gradient is one call on a stack of the 4n
-    displaced states, shape (4n,) + z0.shape, with the displacement
-    axis leading and the component axis last.  Row r < 2n displaces
-    component r ^ 1 (the other half of its (Q, P) pair) by +step and row
-    2n + r displaces it by -step, so the differences come out in the
-    order of Sigma grad H.  The stack is a transposed view of a
-    component-major buffer: z[..., k] is a contiguous block.
+    z0 may be a batch (..., 6) of finite states; t >= 0 and dt > 0 must
+    be finite.  `hamiltonian(z, t)` must broadcast over the leading axes
+    of z: each gradient is one call on a stack of the 12 displaced
+    states, shape (12,) + z0.shape, with the displacement axis leading
+    and the component axis last.  Row r < 6 displaces component r ^ 1
+    (the other half of its (Q, P) pair) by +step and row 6 + r displaces
+    it by -step, so the differences come out in the order of Sigma grad H.
+    The stack is a transposed view of a component-major buffer: z[..., k]
+    is a contiguous block.
 
     Returns (times, path): the steps+1 times from 0 to t, and the states
     there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H
@@ -457,13 +457,8 @@ def rk4_hamiltonian_flow(
     the step is not warned about.
     """
     steps, h = _fixed_steps(t, dt)
-    # the oracle's own state check: it also integrates one (Q, P) pair
-    z = np.asarray(z0, dtype=float)
-    if z.shape[-1:] not in ((2,), (6,)):
-        raise ValueError(f"phase state must have 2 or 6 components, got shape {z.shape}")
-    if not np.isfinite(z).all():
-        raise ValueError("phase state must be finite")
-    dim = z.shape[-1]
+    z = _as_state(z0)
+    dim = 6
     # The state is carried component-major, shape (dim,) + batch, so that
     # every ufunc of a step runs on contiguous operands of one shape.
     batch = z.shape[:-1]

@@ -27,7 +27,6 @@ __all__ = [
     "block_propagate_path",
     "block_propagator",
     "energy_form_6x6",
-    "composite_simpson",
     "cumulative_simpson",
     "rk4_steps",
     "stage_memo",
@@ -85,8 +84,8 @@ def simpson_panels(panels_per_unit: float, span: float) -> int:
     """Panel count of a composite-Simpson quadrature over `span` at
     `panels_per_unit` panels per unit time: never fewer than 32, always
     even.  The one place a quadrature resolution is checked."""
-    if not (panels_per_unit > 0):
-        raise ValueError("quadrature resolution must be positive")
+    if not (0 < panels_per_unit < math.inf):
+        raise ValueError("quadrature resolution must be positive and finite")
     span = float(_as_times(span))
     n = max(_MIN_PANELS, int(math.ceil(panels_per_unit * abs(span))))
     return n + (n % 2)
@@ -128,6 +127,8 @@ def rotation_about_z(angle: float) -> np.ndarray:
     the off-diagonal sines carry opposite signs, which is what makes the
     result orthogonal.
     """
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle}")
     c, s = math.cos(angle), math.sin(angle)
     return np.array(
         [
@@ -206,27 +207,13 @@ def energy_form_6x6(params: OscParams) -> np.ndarray:
     return np.diag([m * w * w, 1.0 / m, m * w * w, 1.0 / m, 0.0, 1.0 / m])
 
 
-def composite_simpson(values: np.ndarray, dx: float) -> np.ndarray:
-    """Composite Simpson integral over axis 0 of uniformly sampled values.
-
-    Requires an odd number of samples (even panel count).
-    """
-    values = np.asarray(values)
-    n = values.shape[0] - 1
-    if n < 2 or n % 2:
-        raise ValueError("composite Simpson needs an even, >= 2 panel count")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return np.tensordot(w, values, axes=(0, 0)) * (dx / 3.0)
-
-
 def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral at every sample point of a uniform grid.
 
     Even indices use composite Simpson; odd indices add the standard
     three-point half-panel rule, keeping the result O(dx^4) accurate
-    everywhere.  Integrates over axis 0; leading shape is preserved.
+    everywhere.  Integrates over axis 0; leading shape is preserved.  The
+    package's one Simpson rule: a definite integral is the last sample.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0] - 1

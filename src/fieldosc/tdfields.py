@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    _PANELS_PER_UNIT, _as_state, _check_mass, composite_simpson, cross_matrix, rk4_steps,
+    _PANELS_PER_UNIT, _as_state, _check_mass, cross_matrix, cumulative_simpson, rk4_steps,
     rotation_about_z, simpson_panels, stage_memo,
 )
 from .classical import CanonicalMap, Drive, frame_rotation
@@ -105,7 +105,7 @@ def accumulated_rotation(field: FixedAxisField, t: float) -> np.ndarray:
         return np.eye(3)
     n = simpson_panels(_PANELS_PER_UNIT, t)
     times = np.linspace(0.0, t, n + 1)
-    angle = float(composite_simpson(field.rate(times), times[1] - times[0]))
+    angle = float(cumulative_simpson(field.rate(times), times[1] - times[0])[-1])
     return rotation_about_z(angle)
 
 

@@ -461,7 +461,7 @@ class TestRK4Oracle:
     def test_blowup_reported(self):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FlowBlowupError):
-                rk4_hamiltonian_flow(_runaway, np.array([1.0, 0.0]), 5.0, 1e-2)
+                rk4_hamiltonian_flow(_runaway, np.array([1.0, 0, 0, 0, 0, 0]), 5.0, 1e-2)
 
     @pytest.mark.parametrize(
         "t, dt, name",
@@ -500,7 +500,7 @@ class TestRK4Oracle:
         cases = (
             (h1_evaluator(fields), _reference_h1(fields), rng.uniform(-0.5, 0.5, (3, 6))),
             (h3, h3, rng.normal(size=(2, 3, 6))),
-            (duffing, duffing, np.array([0.4, -0.0])),
+            (duffing, duffing, np.array([0.4, -0.0, 0.0, 0.0, 0.0, 0.0])),
             (
                 h1_evaluator(single),
                 lambda z, t: _reference_eval_h1(single, z),
@@ -515,11 +515,12 @@ class TestRK4Oracle:
             assert np.array_equal(np.signbit(path), np.signbit(reference))
 
         # the per-step finiteness check fires at the same step
+        runaway_z0 = np.array([1.0, 0, 0, 0, 0, 0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FlowBlowupError) as fired:
-                rk4_hamiltonian_flow(_runaway, np.array([1.0, 0.0]), 5.0, 1e-2)
+                rk4_hamiltonian_flow(_runaway, runaway_z0, 5.0, 1e-2)
             with pytest.raises(FlowBlowupError) as expected:
-                _reference_rk4_path(_runaway, np.array([1.0, 0.0]), 5.0, 1e-2)
+                _reference_rk4_path(_runaway, runaway_z0, 5.0, 1e-2)
         assert fired.value.time == expected.value.time
 
 
@@ -608,6 +609,11 @@ def _state_takers() -> dict:
         "block_propagate_path": lambda z: block_propagate_path(params, z, [0.0, 0.3]),
         "solve_driven": lambda z: solve_driven(params, drive, z, 0.3, QUAD),
         "symplectic_defect": lambda z: symplectic_defect(lambda t, y: y, 0.3, z),
+        # a Hamiltonian that takes any number of components, so the oracle's
+        # own check is what rejects the state
+        "rk4_hamiltonian_flow": lambda z: rk4_hamiltonian_flow(
+            lambda y, t: 0.5 * np.sum(y * y, axis=-1), z, 0.3, 0.1
+        ),
     }
     maps = {
         "frame": frame_rotation(field.frame_rate),

@@ -383,6 +383,27 @@ class TestDeterminism:
         assert h1 == h2
         assert len(h1) >= 4
 
+    def test_artifacts_independent_of_blas_threads(self, tmp_path):
+        # OpenBLAS splits a long dot across threads, which changes its sum:
+        # the case1 frame angle used to differ between 1 and 2 threads
+        path = write(tmp_path, "c1.cfg", "mode = case1\ntime = 2.0\node_steps = 1000\n")
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(
+                os.environ,
+                PYTHONPATH=str(Path(fieldosc.__file__).parents[1]),
+                OPENBLAS_NUM_THREADS=threads,
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "fieldosc", "run", str(path), "--out-dir", str(out)],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            digests.append(self.hash_dir(out))
+        assert list(digests[0]) == ["c1_rotation.csv"]
+        assert digests[0] == digests[1]
+
 
 class TestWavefunctionExport:
     def test_one_dimensional_rows(self):

@@ -10,7 +10,6 @@ from fieldosc.core import (
     OscParams,
     block_propagate_path,
     block_propagator,
-    composite_simpson,
     cumulative_simpson,
     cross_matrix,
     energy_form_6x6,
@@ -72,6 +71,12 @@ class TestRotationAboutZ:
         r = rotation_about_z(a)
         assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-14
         assert abs(np.linalg.det(r) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, angle):
+        # a NaN angle used to give a matrix with NaN planar entries
+        with pytest.raises(ValueError, match="angle must be finite"):
+            rotation_about_z(angle)
 
     def test_symmetric_sine_variant_is_not_a_rotation(self):
         # regression guard: with +sin in both off-diagonal slots the block
@@ -184,7 +189,8 @@ class TestSimpson:
     def test_exact_on_cubic(self):
         x = np.linspace(0.0, 2.0, 11)
         vals = x**3 - 2 * x**2 + 0.5
-        assert abs(composite_simpson(vals, x[1] - x[0]) - (4.0 - 16.0 / 3 + 1.0)) <= 1e-13
+        total = cumulative_simpson(vals, x[1] - x[0])[-1]
+        assert abs(total - (4.0 - 16.0 / 3 + 1.0)) <= 1e-13
 
     def test_cumulative_matches_antiderivative(self):
         x = np.linspace(0.0, 3.0, 601)
@@ -195,7 +201,7 @@ class TestSimpson:
 
     def test_rejects_odd_panel_count(self):
         with pytest.raises(ValueError):
-            composite_simpson(np.zeros(4), 0.1)
+            cumulative_simpson(np.zeros(4), 0.1)
 
 
 class TestTimeCheck:
@@ -215,6 +221,14 @@ class TestTimeCheck:
     def test_simpson_panels_checks_its_span(self, span):
         with pytest.raises(ValueError, match="time must be finite"):
             core.simpson_panels(100.0, span)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1.0, math.inf, math.nan])
+    def test_simpson_panels_checks_its_resolution(self, resolution):
+        # an infinite resolution used to pass the check and then raise
+        # OverflowError: cannot convert float infinity to integer, in
+        # moving_origin_map(OscParams(), Drive.zero(), math.inf).forward
+        with pytest.raises(ValueError, match="quadrature resolution"):
+            core.simpson_panels(resolution, 1.0)
 
 
 class TestStageMemo:

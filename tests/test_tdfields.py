@@ -168,6 +168,13 @@ class TestFixedAxisRotation:
             oracle = integrate_rotation_ode(field, t, int(20000 * max(frac, 1)))
             assert np.max(np.abs(accumulated_rotation(field, t) - oracle)) <= 1e-6
 
+    def test_non_finite_field_rejected(self):
+        # a NaN field strength used to give a rotation with NaN planar
+        # entries and no error
+        field = FixedAxisField(b3=lambda t: np.full_like(np.asarray(t, float), np.nan))
+        with pytest.raises(ValueError, match="angle must be finite"):
+            accumulated_rotation(field, 1.0)
+
     def test_time_function_must_broadcast(self):
         field = FixedAxisField(b3=lambda t: 2.0)
         with pytest.raises(ValueError, match="shape"):
