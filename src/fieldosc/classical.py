@@ -9,9 +9,9 @@ Three Hamiltonians are handled:
 * ``H3`` -- the plain planar oscillator, which is H2 at `Drive.zero()`.
 
 Phase-space points are plain numpy arrays of six finite components in the
-*interleaved* layout ``(Q1, P1, Q2, P2, Q3, P3)`` (the RK4 oracle also
-takes one ``(Q, P)`` pair); all evaluators and maps broadcast over leading
-axes, so batches of states can be pushed through in one call.
+*interleaved* layout ``(Q1, P1, Q2, P2, Q3, P3)``; all evaluators and
+maps broadcast over leading axes, so batches of states can be pushed
+through in one call.
 
 Conventions: the magnetic coupling enters through the signed cyclotron
 rate ``w_c = q*B3/m`` (with the vector potential ``(m*w_c/2) z_hat cross x``,
@@ -494,7 +494,8 @@ def rk4_hamiltonian_flow(
 
     path = np.empty((steps + 1,) + z.shape)
     path[0] = z
-    flow = rk4_steps(velocity, np.moveaxis(z, -1, 0), h, steps)
+    # H receives each stage time as a Python float
+    flow = rk4_steps(velocity, np.ndarray.tolist, np.moveaxis(z, -1, 0), h, steps)
     # overflow inside a step leaves a non-finite state: the check below
     # reports it, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,7 +11,6 @@ returned as fresh ndarrays, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,7 +28,6 @@ __all__ = [
     "energy_form_6x6",
     "cumulative_simpson",
     "rk4_steps",
-    "stage_memo",
 ]
 
 _TINY = sys.float_info.min  # smallest normal double
@@ -229,26 +227,30 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
 
 
 def rk4_steps(
-    rhs: Callable, y0, h: float, steps: int
+    rhs: Callable, stage_values: Callable, y0, h: float, steps: int
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Classic fixed-step RK4 for dy/dt = rhs(y, t), yielding (t, y) after
-    each of `steps` steps of size h.
+    """Classic fixed-step RK4 for dy/dt = rhs(y, c(t)), yielding (t, y)
+    after each of `steps` steps of size h.
 
-    Stage times are i*h, i*h + h/2 (twice) and i*h + h; the step time is
-    (i+1)*h.  y is one C-order float copy of y0, updated in place by
+    Each step makes one call `stage_values(i*h + [0, h/2, h])`, which must
+    return the coefficient c at those three stage times along its first
+    axis; k1 reads the first, k2 and k3 the second, k4 the third.  k4's
+    time is i*h + h, which is not always the step time (i+1)*h.  y is one
+    C-order float copy of y0, updated in place by
     y += (h/6) * (((k1 + 2 k2) + 2 k3) + k4), rounded in that order, so a
     caller that keeps a step must copy it.  `rhs` must return a fresh
     array of y's shape, which the update overwrites.
     """
     y = np.array(y0, dtype=float, order="C")
     half_h = 0.5 * h
+    offsets = np.array([0.0, half_h, h])
     sixth_h = h / 6.0
     for i in range(steps):
-        t = i * h
-        k1 = rhs(y, t)
-        k2 = rhs(y + half_h * k1, t + half_h)
-        k3 = rhs(y + half_h * k2, t + half_h)
-        k4 = rhs(y + h * k3, t + h)
+        start, mid, end = stage_values(i * h + offsets)
+        k1 = rhs(y, start)
+        k2 = rhs(y + half_h * k1, mid)
+        k3 = rhs(y + half_h * k2, mid)
+        k4 = rhs(y + h * k3, end)
         k2 *= 2.0
         k3 *= 2.0
         k1 += k2
@@ -257,18 +259,3 @@ def rk4_steps(
         k1 *= sixth_h
         y += k1
         yield (i + 1) * h, y
-
-
-def stage_memo(coefficient: Callable) -> Callable:
-    """One-entry memo of a stage coefficient c(t) of an `rk4_steps` run:
-    k3 reuses k2's value, and a step's start the last step's end whenever
-    i*h + h == (i+1)*h.  `coefficient(t)` must return a fresh array (or a
-    scalar); the memo makes it read-only, as the stages share it."""
-
-    @functools.lru_cache(maxsize=1)
-    def at(t: float) -> np.ndarray:
-        value = np.asarray(coefficient(t), dtype=float)
-        value.flags.writeable = False
-        return value
-
-    return at

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .core import OscParams, _fixed_steps
+from .core import OscParams, _check_mass, _fixed_steps
 from .classical import Drive, MovingOrigin, StaticField, moving_origin_map
 
 __all__ = [
@@ -81,8 +81,8 @@ class Grid:
             raise ValueError("dims must be 1 or 2")
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError("n must be a power of two >= 16")
-        if not (self.half_width > 0):
-            raise ValueError("half_width must be positive")
+        if not (0 < self.half_width < math.inf):
+            raise ValueError(f"half_width must be positive and finite, got {self.half_width}")
 
     @property
     def spacing(self) -> float:
@@ -120,8 +120,8 @@ class WaveFunction:
         expected = (self.grid.n,) * self.grid.dims
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != grid {expected}")
-        if not (self.hbar > 0):
-            raise ValueError("hbar must be positive")
+        if not (0 < self.hbar < math.inf):
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("amplitudes must be finite")
 
@@ -461,6 +461,11 @@ class GridHamiltonian:
     stiffness: float = 0.0
     rotation_rate: float = 0.0
     drive: Drive | None = None
+
+    def __post_init__(self):
+        _check_mass(self.mass)
+        if not (math.isfinite(self.stiffness) and math.isfinite(self.rotation_rate)):
+            raise ValueError("stiffness and rotation_rate must be finite")
 
 
 def oscillator_hamiltonian(params: OscParams) -> GridHamiltonian:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (
     _PANELS_PER_UNIT, _as_state, _check_mass, cross_matrix, cumulative_simpson, rk4_steps,
-    rotation_about_z, simpson_panels, stage_memo,
+    rotation_about_z, simpson_panels,
 )
 from .classical import CanonicalMap, Drive, frame_rotation
 
@@ -269,7 +269,8 @@ def coriolis_elimination(
 
 @dataclass(frozen=True)
 class HillSystem:
-    """Scalar Hill equation x'' + omega_sq(t) x = 0 with period T."""
+    """Scalar Hill equation x'' + omega_sq(t) x = 0 with period T;
+    `omega_sq` must broadcast over arrays of times."""
 
     omega_sq: Callable
     period: float
@@ -313,29 +314,37 @@ def _monodromy_matrices(
 ) -> np.ndarray:
     """RK4 fundamental solutions of x'' + w2(t) x = 0 over one period.
 
-    `omega_sq_values(t)` may return a scalar or a batch (B,); the result
-    has shape (..., 2, 2) accordingly.  Runs vectorized over the batch, on
-    the four matrix entries updated entrywise: a matrix product would turn
-    0 * inf into nan where a runaway row overflows.  The one check of
-    both entry points: 0 < period < inf and `n_steps` >= 1.
+    `omega_sq_values(t)` takes a step's (3,) array of stage times and
+    returns w2 at each, shape (3,) + batch; the batch shape, read from one
+    probe at t = 0, may be () and sets the result's shape (..., 2, 2).
+    Runs vectorized over the batch, on the four matrix entries updated
+    entrywise: a matrix product would turn 0 * inf into nan where a
+    runaway row overflows.  The one check of both entry points:
+    0 < period < inf, `n_steps` >= 1 and every stage's w2 finite.
     """
     if not (0.0 < period < math.inf):
         raise ValueError(f"period must be positive and finite, got {period}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    neg_w2 = stage_memo(lambda t: np.negative(omega_sq_values(t), dtype=float))
-    shape = neg_w2(0.0).shape
 
-    def rhs(y, t):
+    def neg_w2(times):
+        values = np.negative(omega_sq_values(times), dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError(f"omega^2 must be finite, got a non-finite value at t in {times}")
+        return values
+
+    shape = neg_w2(np.zeros(3)).shape[1:]
+
+    def rhs(y, w2):
         # derivative of the flattened [[a, b], [c, d]] under [[0, 1], [-w2, 0]]
         out = np.empty_like(y)
         out[:2] = y[2:]
-        np.multiply(neg_w2(t), y[:2], out=out[2:])
+        np.multiply(w2, y[:2], out=out[2:])
         return out
 
     y = np.zeros((4,) + shape)
     y[0] = y[3] = 1.0
-    for _, y in rk4_steps(rhs, y, period / n_steps, n_steps):
+    for _, y in rk4_steps(rhs, neg_w2, y, period / n_steps, n_steps):
         pass
     return np.moveaxis(y, 0, -1).reshape(shape + (2, 2))
 
@@ -387,16 +396,16 @@ def stability_map(
 ) -> list[StabilityRow]:
     """Classify every point of a parameter grid.
 
-    `omega_sq_family(p1, p2, t)` must broadcast over arrays of parameters;
-    the whole grid is integrated as one batch.  Rows come out in row-major
-    (param1-major) order.
+    `omega_sq_family(p1, p2, t)` must broadcast over arrays of parameters
+    and a column of stage times; the whole grid is integrated as one
+    batch.  Rows come out in row-major (param1-major) order.
     """
     p1g, p2g = np.meshgrid(
         np.asarray(param1, dtype=float), np.asarray(param2, dtype=float), indexing="ij"
     )
     p1f, p2f = p1g.ravel(), p2g.ravel()
     matrices = _monodromy_matrices(
-        lambda t: np.asarray(omega_sq_family(p1f, p2f, t), dtype=float),
+        lambda t: omega_sq_family(p1f, p2f, t[:, None]),
         period,
         n_steps,
     )

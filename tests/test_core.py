@@ -15,7 +15,6 @@ from fieldosc.core import (
     energy_form_6x6,
     rk4_steps,
     rotation_about_z,
-    stage_memo,
 )
 
 finite_floats = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -231,33 +230,32 @@ class TestTimeCheck:
             core.simpson_panels(resolution, 1.0)
 
 
-class TestStageMemo:
-    def test_one_evaluation_per_distinct_stage_time(self):
-        # h = 1/4 makes i*h + h == (i+1)*h exact, so a step's start reuses
-        # the last step's end, and k3 reuses k2's midpoint value
+class TestRK4Stages:
+    def test_one_stage_call_per_step(self):
+        # one call per step on the step's three stage times, i*h + h/2
+        # shared by k2 and k3; the same values as evaluating the
+        # coefficient at each of the four stage times
         calls = []
 
         def coefficient(t):
-            calls.append(t)
             return np.array([[0.0, 1.0], [-1.0 - t, 0.0]])
 
-        memo = stage_memo(coefficient)
-        steps, h = 8, 0.25
-        for _, y in rk4_steps(lambda y, t: memo(t) @ y, np.eye(2), h, steps):
-            pass
-        stage_times = {i * h + d for i in range(steps) for d in (0.0, 0.5 * h, h)}
-        assert sorted(calls) == sorted(stage_times)
-        assert len(calls) == 2 * steps + 1
-        # the same values as evaluating at every stage
-        for _, plain in rk4_steps(lambda y, t: coefficient(t) @ y, np.eye(2), h, steps):
-            pass
-        assert np.array_equal(y, plain)
+        def stage_values(times):
+            calls.append(times.copy())
+            return [coefficient(t) for t in times]
 
-    def test_value_is_read_only(self):
-        memo = stage_memo(lambda t: np.full(3, t))
-        value = memo(0.5)
-        assert memo(0.5) is value
-        with pytest.raises(ValueError):
-            value[0] = 1.0
-        scalar = stage_memo(lambda t: 2.0 * t)(0.5)
-        assert scalar == 1.0 and not scalar.flags.writeable
+        steps, h = 7, 0.3
+        for _, y in rk4_steps(lambda y, c: c @ y, stage_values, np.eye(2), h, steps):
+            pass
+        assert len(calls) == steps
+        for i, times in enumerate(calls):
+            assert np.array_equal(times, [i * h, i * h + h / 2, i * h + h])
+        plain = np.eye(2)
+        for i in range(steps):
+            t = i * h
+            k1 = coefficient(t) @ plain
+            k2 = coefficient(t + 0.5 * h) @ (plain + 0.5 * h * k1)
+            k3 = coefficient(t + 0.5 * h) @ (plain + 0.5 * h * k2)
+            k4 = coefficient(t + h) @ (plain + h * k3)
+            plain = plain + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+        assert np.array_equal(y, plain)

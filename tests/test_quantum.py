@@ -12,6 +12,7 @@ from fieldosc.classical import Drive, StaticField, moving_origin_map
 from fieldosc.quantum import (
     EigenLabel,
     Grid,
+    GridHamiltonian,
     GridSupportError,
     WaveFunction,
     apply_hamiltonian,
@@ -222,18 +223,17 @@ class TestUnitaryRotation:
         # angle used to fail with "cannot convert float NaN to integer"
         grid = Grid(dims=2, n=32, half_width=8.0)
         psi = gaussian_wavepacket(grid, (0.0, 0.0), (0.0, 0.0), 0.8)
-        planar = dataclasses.replace(
-            planar_field_hamiltonian(StaticField(b3=1.0)), rotation_rate=bad
-        )
         calls = (
             lambda: _RotationPlan(grid, bad),
             lambda: spectral_rotate(psi.values, grid, bad),
             lambda: unitary_rotation(psi, 1.0, bad),
-            lambda: split_step_evolve(psi, planar, 0.1, 0.01),
         )
         for call in calls:
             with pytest.raises(ValueError, match="angle"):
                 call()
+        # split_step_evolve never sees such a rate: the Hamiltonian rejects it
+        with pytest.raises(ValueError, match="rotation_rate"):
+            dataclasses.replace(planar_field_hamiltonian(StaticField(b3=1.0)), rotation_rate=bad)
 
 
 class TestUnitaryMovingOrigin:
@@ -640,3 +640,29 @@ class TestGridValidation:
         grid = Grid(dims=2, n=16, half_width=2.0)
         with pytest.raises(ValueError):
             WaveFunction(grid=grid, values=np.zeros(16, dtype=complex))
+
+    @pytest.mark.parametrize("half_width", [0.0, -1.0, math.inf, math.nan])
+    def test_half_width_positive_and_finite(self, half_width):
+        # an infinite half-width used to be accepted, and split_step_evolve
+        # then warned three times and failed on "amplitudes must be finite"
+        with pytest.raises(ValueError, match="half_width"):
+            Grid(dims=2, n=16, half_width=half_width)
+
+    @pytest.mark.parametrize("hbar", [0.0, math.inf, math.nan])
+    def test_hbar_positive_and_finite(self, hbar):
+        grid = Grid(dims=2, n=16, half_width=2.0)
+        with pytest.raises(ValueError, match="hbar"):
+            WaveFunction(grid=grid, values=np.zeros((16, 16), dtype=complex), hbar=hbar)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"mass": 0.0}, "mass"),
+            ({"mass": math.inf}, "mass"),
+            ({"mass": 1.0, "stiffness": math.nan}, "stiffness"),
+            ({"mass": 1.0, "rotation_rate": math.inf}, "rotation_rate"),
+        ],
+    )
+    def test_grid_hamiltonian_inputs_checked(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            GridHamiltonian(**kwargs)

@@ -443,7 +443,7 @@ class TestMonodromy:
         def family(t):
             return a + 2.0 * q * np.cos(2.0 * t)
 
-        batch = _monodromy_matrices(family, math.pi, 1024)
+        batch = _monodromy_matrices(lambda t: family(t[:, None]), math.pi, 1024)
         assert batch.shape == (189, 2, 2)
         assert np.array_equal(batch, reference_monodromy(family, math.pi, 1024))
         sys = mathieu_hill(1.2, 0.25)
@@ -451,8 +451,8 @@ class TestMonodromy:
         assert np.array_equal(rep.matrix, reference_monodromy(sys.omega_sq_values, math.pi, 1024))
 
     def test_stage_values_are_reused(self):
-        # k3 reuses k2's midpoint value and a step's start the last step's
-        # end: about 2.3 evaluations per step, not 3 + 1/n
+        # one call per step on its three stage times, k3 reusing k2's
+        # midpoint value, plus the probe of the batch shape
         times = []
 
         def family(t):
@@ -460,8 +460,19 @@ class TestMonodromy:
             return 1.2 + 0.5 * np.cos(2.0 * t)
 
         _monodromy_matrices(family, math.pi, 2048)
-        assert len(times) < 2.5 * 2048
-        assert len(set(times)) == len(times)
+        assert len(times) == 2048 + 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_omega_sq_rejected(self, bad):
+        # a NaN field strength used to give a NaN monodromy classified
+        # "unstable"; both entry points now raise, naming the stage times
+        field = FixedAxisField(b3=lambda t: np.full_like(np.asarray(t, float), bad))
+        with pytest.raises(ValueError, match="omega\\^2 must be finite"):
+            hill_monodromy(fixed_axis_hill(field, 1.0), 16)
+        with pytest.raises(ValueError, match="omega\\^2 must be finite"):
+            stability_map(
+                lambda a, q, t: a + q * np.where(t > 0.5, bad, 1.0), 1.0, [1.0, 2.0], [0.1], 16
+            )
 
     def test_runaway_non_finite_pattern_matches_reference(self):
         def runaway(t):
