@@ -434,17 +434,15 @@ def _run_hill(sc: Scenario):
     a_values = np.linspace(p["a_min"], p["a_max"], p["a_count"])
     q_values = np.linspace(p["q_min"], p["q_max"], p["q_count"])
     rows = stability_map(mathieu_omega_sq, math.pi, a_values, q_values, n_steps=p["n_steps"])
-    # a non-finite det counts as inf: max(0.0, nan) would drop it
+    # a nan defect marks an overflowed runaway row: it has no determinant
     det_defect = max(
-        abs(row.det - 1.0) if math.isfinite(row.det) else math.inf for row in rows
+        (r.det_defect for r in rows if not math.isnan(r.det_defect)), default=math.inf
     )
-    const_defect = 0.0
-    for row in rows:
-        if row.param2 == 0.0 and row.param1 > 0:
-            const_defect = max(
-                const_defect,
-                abs(row.trace - 2.0 * math.cos(math.sqrt(row.param1) * math.pi)),
-            )
+    const_defect = max(
+        (abs(r.trace - 2.0 * math.cos(math.sqrt(r.param1) * math.pi))
+         for r in rows if r.param2 == 0.0 and r.param1 > 0),
+        default=0.0,
+    )
     checks = [
         CheckResult("monodromy-determinant", det_defect, 1e-8),
         CheckResult("constant-frequency-trace", const_defect, 1e-8),

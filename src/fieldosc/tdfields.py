@@ -359,15 +359,18 @@ def _classify(trace: float) -> str:
     return "marginal"
 
 
-def _trace_det(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trace and determinant of (..., 2, 2) monodromy matrices; a matrix
-    with a non-finite entry gets trace inf (unstable) and det nan."""
+def _trace_det(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trace, det and det defect |det - 1| / max(1, |ad|, |bc|) (ad - bc
+    rounds near eps times its larger product) of (..., 2, 2) monodromy
+    matrices; a non-finite matrix gets trace inf (unstable), det and defect nan."""
     finite = np.isfinite(matrices).all(axis=(-2, -1))
     a, b = matrices[..., 0, 0], matrices[..., 0, 1]
     c, d = matrices[..., 1, 0], matrices[..., 1, 1]
     with np.errstate(invalid="ignore"):  # a non-finite matrix's values are dropped
-        trace, det = a + d, a * d - b * c
-    return np.where(finite, trace, math.inf), np.where(finite, det, math.nan)
+        ad, bc = a * d, b * c
+        det = np.where(finite, ad - bc, math.nan)
+        defect = abs(det - 1.0) / np.maximum(1.0, np.maximum(abs(ad), abs(bc)))
+    return np.where(finite, a + d, math.inf), det, defect
 
 
 def hill_monodromy(sys: HillSystem, n_steps: int = 4096) -> MonodromyReport:
@@ -375,7 +378,7 @@ def hill_monodromy(sys: HillSystem, n_steps: int = 4096) -> MonodromyReport:
     steps of T/n_steps (as `stability_map` does) and classify stability
     from the monodromy trace."""
     matrix = _monodromy_matrices(sys.omega_sq_values, sys.period, n_steps)
-    trace, det = (float(v) for v in _trace_det(matrix))
+    trace, det, _ = (float(v) for v in _trace_det(matrix))
     return MonodromyReport(matrix=matrix, trace=trace, det=det, classification=_classify(trace))
 
 
@@ -385,6 +388,7 @@ class StabilityRow(NamedTuple):
     trace: float
     classification: str
     det: float
+    det_defect: float
 
 
 def stability_map(
@@ -404,15 +408,12 @@ def stability_map(
         np.asarray(param1, dtype=float), np.asarray(param2, dtype=float), indexing="ij"
     )
     p1f, p2f = p1g.ravel(), p2g.ravel()
-    matrices = _monodromy_matrices(
-        lambda t: omega_sq_family(p1f, p2f, t[:, None]),
-        period,
-        n_steps,
+    traces, dets, defects = _trace_det(
+        _monodromy_matrices(lambda t: omega_sq_family(p1f, p2f, t[:, None]), period, n_steps)
     )
-    traces, dets = _trace_det(matrices)
     return [
-        StabilityRow(float(a), float(b), float(tr), _classify(float(tr)), float(d))
-        for a, b, tr, d in zip(p1f, p2f, traces, dets)
+        StabilityRow(float(a), float(b), float(tr), _classify(float(tr)), float(d), float(e))
+        for a, b, tr, d, e in zip(p1f, p2f, traces, dets, defects)
     ]
 
 

@@ -193,6 +193,26 @@ class TestRunners:
         assert table[0] == "param1,param2,trace,classification"
         assert len(table) == 11
 
+    @pytest.mark.parametrize("a_min, runaway_rows", [(-12.0, 0), (-1e6, 4)])
+    def test_hill_determinant_check_on_unstable_rows(self, tmp_path, a_min, runaway_rows):
+        # a = -12 (trace 5.3e4) rounds ad - bc near 1e-6 of 1: the check
+        # reads |det - 1| relative to max(1, |ad|, |bc|).  a = -1e6
+        # overflows, and a row with no determinant is left out of the check
+        path = write(
+            tmp_path,
+            "hill.cfg",
+            f"mode = hill-stability\na_min = {a_min}\na_count = 5\nq_count = 2\n"
+            "n_steps = 2048\n",
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run(parse_scenario(path), out_dir=tmp_path / "out")
+        assert report.passed
+        (det,) = (c for c in report.checks if c.name == "monodromy-determinant")
+        assert 0.0 < det.defect <= 1e-12
+        table = (tmp_path / "out" / "hill_stability.csv").read_text().splitlines()
+        traces = [line.split(",")[2] for line in table[1:]]
+        assert traces.count("inf") == 2 * runaway_rows
+
     def test_quantum_drive_free_identity_check(self, tmp_path):
         path = write(
             tmp_path,

@@ -231,9 +231,14 @@ class TestUnitaryRotation:
         for call in calls:
             with pytest.raises(ValueError, match="angle"):
                 call()
-        # split_step_evolve never sees such a rate: the Hamiltonian rejects it
+        planar = planar_field_hamiltonian(StaticField(b3=1.0))
+        # the Hamiltonian rejects a non-finite rate; a finite one can still
+        # give split_step_evolve an infinite angle, rate * dt
         with pytest.raises(ValueError, match="rotation_rate"):
-            dataclasses.replace(planar_field_hamiltonian(StaticField(b3=1.0)), rotation_rate=bad)
+            dataclasses.replace(planar, rotation_rate=bad)
+        huge = dataclasses.replace(planar, rotation_rate=1e308)
+        with pytest.raises(ValueError, match="angle"):
+            split_step_evolve(psi, huge, 2.0, 2.0)
 
 
 class TestUnitaryMovingOrigin:
