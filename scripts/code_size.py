@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
-"""Print the size of a package directory as two numbers:
+"""Print the size of a package directory as four numbers:
 
     lines N    -- the line count of DIR/*.py, as `wc -l` sums it
     options N  -- defaulted parameters (lambdas included) plus defaulted
                   class fields, counted on the syntax tree
+    flags N    -- command-line options: `add_argument` calls named "--..."
+    keys N     -- scenario-file keys: the entries of `_COMMON_SCHEMA`
+                  and of each mode's dict in `_SCHEMAS`
+
+Flags and keys are the knobs a user can set.
 
 Usage: python scripts/code_size.py src/fieldosc
 """
@@ -11,6 +16,8 @@ Usage: python scripts/code_size.py src/fieldosc
 import ast
 import sys
 from pathlib import Path
+
+SCHEMA_NAMES = ("_COMMON_SCHEMA", "_SCHEMAS")
 
 
 def count_options(tree: ast.AST) -> int:
@@ -27,6 +34,33 @@ def count_options(tree: ast.AST) -> int:
     return count
 
 
+def count_flags(tree: ast.AST) -> int:
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and str(node.args[0].value).startswith("--")
+        for node in ast.walk(tree)
+    )
+
+
+def count_keys(tree: ast.AST) -> int:
+    # a dict of dicts (mode -> schema) counts the inner entries
+    count = 0
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Dict)
+            and any(isinstance(t, ast.Name) and t.id in SCHEMA_NAMES for t in node.targets)
+        ):
+            count += sum(
+                len(v.keys) if isinstance(v, ast.Dict) else 1 for v in node.value.values
+            )
+    return count
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -34,9 +68,11 @@ def main(argv) -> int:
     files = sorted(Path(argv[1]).glob("*.py"))
     texts = [f.read_bytes() for f in files]
     lines = sum(t.count(b"\n") for t in texts)
-    options = sum(count_options(ast.parse(t)) for t in texts)
+    trees = [ast.parse(t) for t in texts]
     print(f"lines {lines}")
-    print(f"options {options}")
+    print(f"options {sum(map(count_options, trees))}")
+    print(f"flags {sum(map(count_flags, trees))}")
+    print(f"keys {sum(map(count_keys, trees))}")
     return 0
 
 

@@ -4,10 +4,12 @@ Scenario files are flat ``key = value`` text (UTF-8, ``#`` comments).
 Every scenario names a ``mode``; remaining keys are validated against the
 mode's schema (unknown keys, bad types, and missing required keys are
 reported with the offending key and line).  ``run`` executes each
-scenario's pipeline, evaluates the module invariants as named checks, and
-writes plot-ready CSV artifacts.  Exit status: 0 if every check of every
-scenario passes, 1 if a check fails, 2 for a bad scenario file, and 3 if a
-scenario raised (it gets a failed ``error`` line; the others still run).
+scenario's pipeline, evaluates the module invariants as named checks, and,
+given an output directory, writes plot-ready CSV artifacts there.  Each
+check's tolerance is a constant beside the check, not a setting.  Exit
+status: 0 if every check of every scenario passes, 1 if a check fails, 2
+for a bad scenario file, and 3 if a scenario raised (it gets a failed
+``error`` line; the others still run).
 
 CSV artifacts use a one-line header, '.' decimals, and 17-significant-
 digit scientific notation so repeated runs are byte-identical.
@@ -81,16 +83,6 @@ __all__ = [
     "wavefunction_rows",
     "main",
 ]
-
-MODES = (
-    "classical-equivalence",
-    "quantum-pipeline",
-    "eigenstate-expansion",
-    "hill-stability",
-    "case1",
-    "case2",
-)
-
 
 class ScenarioError(ValueError):
     """Config problem, carrying the offending file/line/key."""
@@ -181,7 +173,6 @@ _SCHEMAS = {
         "mass": (_finite, 1.0, _positive),
         "horizon": (_finite, 4.0, _positive),
         "dt": (_finite, 1e-3, _positive),
-        "deviation_tol": (_finite, 1e-6, _positive),
     },
     "quantum-pipeline": {
         "b3": (_finite, _REQUIRED, None),
@@ -194,7 +185,6 @@ _SCHEMAS = {
         "momentum": (_parse_vec(2), (0.3, 0.1), None),
         "width": (_finite, 0.8, _positive),
         "hbar": (_finite, 1.0, _positive),
-        "link_tol": (_finite, 1e-4, _positive),
     },
     "eigenstate-expansion": {
         "theta": (_finite, 0.6, None),
@@ -325,9 +315,9 @@ def wavefunction_rows(wf: WaveFunction):
 # ----------------------------------------------------------------------
 # mode pipelines
 # ----------------------------------------------------------------------
-# A runner maps a scenario to (checks, {table: (header, rows)}) at unit
-# tolerance scale; rows are lazy, so a check-only run computes none; `run`
-# scales the tolerances and writes the tables.
+# A runner maps a scenario to (checks, {table: (header, rows)}).  Each
+# check's tolerance is the constant written beside it, its one owner.  Rows
+# are lazy, so a run that writes no tables computes none.
 
 
 def _run_classical(sc: Scenario):
@@ -337,7 +327,7 @@ def _run_classical(sc: Scenario):
         field, np.array(p["z0"]), p["horizon"], dt=p["dt"], seed=p["seed"]
     )
     checks = [
-        CheckResult("equivalence-deviation", report.max_deviation, p["deviation_tol"]),
+        CheckResult("equivalence-deviation", report.max_deviation, 1e-6),
         CheckResult("homogeneous-invariant", report.invariant_drift, 1e-10),
         CheckResult("symplectic-rotating-frame", report.symplectic_defect_rotating, 1e-8),
         CheckResult("symplectic-moving-origin", report.symplectic_defect_moving, 1e-8),
@@ -381,8 +371,8 @@ def _run_quantum(sc: Scenario):
     psi1 = split_step_evolve(psi0, planar_field_hamiltonian(field), T, dt)
 
     checks = [
-        CheckResult("moving-origin-link", phi2_via.distance(phi2), p["link_tol"]),
-        CheckResult("rotating-frame-link", psi1_via.distance(psi1), p["link_tol"]),
+        CheckResult("moving-origin-link", phi2_via.distance(phi2), 1e-4),
+        CheckResult("rotating-frame-link", psi1_via.distance(psi1), 1e-4),
         CheckResult("norm-preservation", abs(psi1.norm() - 1.0), 1e-6),
     ]
     drive_free = p["e_field"][0] == 0.0 and p["e_field"][1] == 0.0
@@ -434,19 +424,19 @@ def _run_hill(sc: Scenario):
     a_values = np.linspace(p["a_min"], p["a_max"], p["a_count"])
     q_values = np.linspace(p["q_min"], p["q_max"], p["q_count"])
     rows = stability_map(mathieu_omega_sq, math.pi, a_values, q_values, n_steps=p["n_steps"])
-    # a nan defect marks an overflowed runaway row: it has no determinant
-    det_defect = max(
-        (r.det_defect for r in rows if not math.isnan(r.det_defect)), default=math.inf
-    )
-    const_defect = max(
-        (abs(r.trace - 2.0 * math.cos(math.sqrt(r.param1) * math.pi))
-         for r in rows if r.param2 == 0.0 and r.param1 > 0),
-        default=0.0,
-    )
-    checks = [
-        CheckResult("monodromy-determinant", det_defect, 1e-8),
-        CheckResult("constant-frequency-trace", const_defect, 1e-8),
+    # each check reads its own rows and is left out when it has none: a nan
+    # defect marks an overflowed runaway row, which has no determinant, and
+    # only the q = 0, a > 0 rows have a closed-form trace
+    det_defects = [r.det_defect for r in rows if not math.isnan(r.det_defect)]
+    const_defects = [
+        abs(r.trace - 2.0 * math.cos(math.sqrt(r.param1) * math.pi))
+        for r in rows if r.param2 == 0.0 and r.param1 > 0
     ]
+    checks = []
+    if det_defects:
+        checks.append(CheckResult("monodromy-determinant", max(det_defects), 1e-8))
+    if const_defects:
+        checks.append(CheckResult("constant-frequency-trace", max(const_defects), 1e-8))
     table = ((r.param1, r.param2, r.trace, r.classification) for r in rows)
     return checks, {"stability": (["param1", "param2", "trace", "classification"], table)}
 
@@ -530,22 +520,19 @@ _RUNNERS = {
     "case2": _run_case2,
 }
 
+MODES = tuple(_RUNNERS)
 
-def run(
-    scenario: Scenario,
-    out_dir=None,
-    tolerance_scale: float = 1.0,
-    check_only: bool = False,
-) -> RunReport:
-    """Execute one scenario, with every check tolerance multiplied by
-    `tolerance_scale`; unless check_only, write each table its runner
-    returns as the artifact `<name>_<table>.csv`, in the runner's order."""
+
+def run(scenario: Scenario, out_dir=None) -> RunReport:
+    """Execute one scenario and evaluate its checks; given `out_dir`,
+    write each table its runner returns as the artifact
+    `<out_dir>/<name>_<table>.csv`, in the runner's order, and with no
+    directory write nothing."""
     started = time.perf_counter()
     checks, tables = _RUNNERS[scenario.mode](scenario)
-    checks = [CheckResult(c.name, c.defect, tolerance_scale * c.tolerance) for c in checks]
     artifacts = []
-    if not check_only:
-        out = Path(out_dir) if out_dir is not None else Path("out")
+    if out_dir is not None:
+        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for table, (header, rows) in tables.items():
             path = out / f"{scenario.name}_{table}.csv"
@@ -566,13 +553,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fieldosc",
@@ -587,12 +567,6 @@ def main(argv=None) -> int:
     )
     runp.add_argument(
         "--threads", type=_positive_int, default=1, help="scenario worker pool size"
-    )
-    runp.add_argument(
-        "--tolerance-scale",
-        type=_positive_finite,
-        default=1.0,
-        help="multiply every check tolerance by this factor",
     )
     args = parser.parse_args(argv)
 
@@ -610,12 +584,7 @@ def main(argv=None) -> int:
         # a scenario that raises is reported as such; the batch goes on
         started = time.perf_counter()
         try:
-            return run(
-                sc,
-                out_dir=args.out_dir,
-                tolerance_scale=args.tolerance_scale,
-                check_only=args.check_only,
-            )
+            return run(sc, out_dir=None if args.check_only else args.out_dir)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
             return RunReport(sc.name, [], time.perf_counter() - started, error=error)

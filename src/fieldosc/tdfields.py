@@ -6,8 +6,11 @@ frequency is half the instantaneous rotation rate; Case II (field rotating
 about the z axis) reduces in two steps -- into the co-rotating frame and
 then through the elimination of the Coriolis-like momentum coupling -- to
 a three-degree oscillator with a time-periodic stiffness matrix.  Neither
-case routes into the static closed-form solver: the terminal object is a
-Hill system handed to the monodromy machinery below.
+case routes into the static closed-form solver.  Case I's terminal object
+is a scalar Hill system, which the monodromy machinery below can
+integrate.  Case II's `VectorHillSystem` is never integrated: the only
+reader of its `omega_sq_matrix` is the CLI's `case2` mode, which samples
+it (ROADMAP item 1 plans its 6x6 monodromy).
 """
 
 from __future__ import annotations
@@ -344,8 +347,11 @@ def _monodromy_matrices(
 
     y = np.zeros((4,) + shape)
     y[0] = y[3] = 1.0
-    for _, y in rk4_steps(rhs, neg_w2, y, period / n_steps, n_steps):
-        pass
+    # a runaway row overflows to a non-finite matrix, which `_trace_det`
+    # reports as unstable, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, y in rk4_steps(rhs, neg_w2, y, period / n_steps, n_steps):
+            pass
     return np.moveaxis(y, 0, -1).reshape(shape + (2, 2))
 
 

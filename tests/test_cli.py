@@ -72,6 +72,20 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=r"bad.cfg:3: unknown key 'bogus'"):
             parse_scenario(path)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("mode = classical-equivalence\nb3 = 1.0\ndeviation_tol = 1e-3\n", "deviation_tol"),
+            ("mode = quantum-pipeline\nb3 = 2.0\nlink_tol = 1\n", "link_tol"),
+        ],
+        ids=["deviation_tol", "link_tol"],
+    )
+    def test_tolerance_is_not_a_key(self, tmp_path, text, key):
+        # a check's tolerance is a constant beside the check in its runner
+        path = write(tmp_path, "bad.cfg", text)
+        with pytest.raises(ScenarioError, match=rf"bad.cfg:3: unknown key '{key}'"):
+            parse_scenario(path)
+
     def test_type_mismatch_names_key(self, tmp_path):
         path = write(tmp_path, "bad.cfg", "mode = classical-equivalence\nb3 = abc\n")
         with pytest.raises(ScenarioError, match="key 'b3'"):
@@ -146,12 +160,12 @@ class TestRunners:
             "mode = case2\nsamples = 8\n",
         ):
             path = write(tmp_path, "one.cfg", text)
-            report = run(parse_scenario(path), check_only=True)
+            report = run(parse_scenario(path))
             assert report.passed, [c for c in report.checks if not c.passed]
 
     def test_case1_ode_defect_equals_reference_loop(self, tmp_path):
         path = write(tmp_path, "c1.cfg", "mode = case1\ntime = 2.0\node_steps = 3000\n")
-        report = run(parse_scenario(path), check_only=True)
+        report = run(parse_scenario(path))
         defect = {c.name: c.defect for c in report.checks}["closed-form-vs-ode"]
         field = FixedAxisField(b3=lambda t: 1.0 + 0.5 * np.cos(1.0 * np.asarray(t, dtype=float)))
         ode = integrate_rotation_ode(field, 2.0, 3000)
@@ -177,7 +191,7 @@ class TestRunners:
 
         monkeypatch.setattr(FixedAxisField, "rate", counted)
         path = write(tmp_path, "c1.cfg", "mode = case1\ntime = 2.0\node_steps = 3000\n")
-        assert run(parse_scenario(path), check_only=True).passed
+        assert run(parse_scenario(path)).passed
         # one more call for the closed form
         assert len(calls) == 3000 + 1
 
@@ -204,8 +218,7 @@ class TestRunners:
             f"mode = hill-stability\na_min = {a_min}\na_count = 5\nq_count = 2\n"
             "n_steps = 2048\n",
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = run(parse_scenario(path), out_dir=tmp_path / "out")
+        report = run(parse_scenario(path), out_dir=tmp_path / "out")
         assert report.passed
         (det,) = (c for c in report.checks if c.name == "monodromy-determinant")
         assert 0.0 < det.defect <= 1e-12
@@ -213,13 +226,26 @@ class TestRunners:
         traces = [line.split(",")[2] for line in table[1:]]
         assert traces.count("inf") == 2 * runaway_rows
 
+    def test_hill_check_without_rows_left_out(self, tmp_path):
+        # the one row, a = -12 and q = 0, has a determinant but no
+        # closed-form trace (that needs q = 0 and a > 0): a trace check
+        # with no row to read would report a made-up defect of 0
+        path = write(
+            tmp_path,
+            "hill.cfg",
+            "mode = hill-stability\na_min = -12\na_max = -12\na_count = 1\nq_count = 1\n",
+        )
+        report = run(parse_scenario(path))
+        assert [c.name for c in report.checks] == ["monodromy-determinant"]
+        assert report.passed
+
     def test_quantum_drive_free_identity_check(self, tmp_path):
         path = write(
             tmp_path,
             "q.cfg",
             "mode = quantum-pipeline\nb3 = 2.0\ngrid_n = 64\ntime = 0.3\n",
         )
-        report = run(parse_scenario(path), check_only=True)
+        report = run(parse_scenario(path))
         assert report.passed
         names = {c.name for c in report.checks}
         assert "moving-origin-identity" in names
@@ -254,15 +280,15 @@ class TestRunners:
         path = write(
             tmp_path, "cls.cfg", "mode = classical-equivalence\nb3 = 1.5\nhorizon = 0.5\n"
         )
-        assert run(parse_scenario(path), check_only=True).passed
+        assert run(parse_scenario(path)).passed
 
     def test_check_only_writes_nothing(self, tmp_path):
         path = write(
             tmp_path, "exp.cfg", "mode = eigenstate-expansion\nmax_level = 2\n"
         )
-        report = run(parse_scenario(path), out_dir=tmp_path / "out", check_only=True)
-        assert report.passed
-        assert not (tmp_path / "out").exists()
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out), "--check-only"]) == 0
+        assert not out.exists()
 
 
 class TestMain:
@@ -280,22 +306,34 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert "unknown mode" in capsys.readouterr().err
 
-    def test_tolerance_scale_can_force_failure(self, tmp_path, capsys):
+    def test_exit_one_on_failed_check(self, tmp_path, capsys):
+        # dt = 0.2 leaves the RK4 oracle far outside the 1e-6 deviation gate
         path = write(
-            tmp_path, "exp.cfg", "mode = eigenstate-expansion\nmax_level = 2\n"
+            tmp_path,
+            "cls.cfg",
+            "mode = classical-equivalence\nb3 = 2.0\nhorizon = 2.0\ndt = 0.2\n",
         )
-        code = main(["run", str(path), "--check-only", "--tolerance-scale", "1e-20"])
+        code = main(["run", str(path), "--check-only"])
         assert code == 1
-        assert "[FAIL]" in capsys.readouterr().out
+        assert "[FAIL] cls: equivalence-deviation" in capsys.readouterr().out
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [("--tolerance-scale", v) for v in ("0", "-1", "nan", "inf", "-inf")]
-        + [("--threads", v) for v in ("0", "-2")],
-    )
+    def test_runaway_hill_row_is_quiet(self, tmp_path, capsys):
+        # the one row overflows: the map calls it unstable, numpy does not
+        # warn (a warning would be an error here), and no check has a row
+        # to read, so none is printed
+        path = write(
+            tmp_path,
+            "hill.cfg",
+            "mode = hill-stability\na_min = -1e5\na_max = -1e5\na_count = 1\nq_count = 1\n",
+        )
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("-- hill: ok")
+        table = (tmp_path / "out" / "hill_stability.csv").read_text().splitlines()
+        assert table[1].endswith(",inf,unstable")
+
+    @pytest.mark.parametrize("flag, value", [("--threads", v) for v in ("0", "-2")])
     def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys, flag, value):
-        # a scale that is not positive and finite would FAIL every check as
-        # if the program were wrong; a pool size below 1 is no pool size
+        # a pool size below 1 is no pool size
         path = write(tmp_path, "exp.cfg", "mode = eigenstate-expansion\n")
         with pytest.raises(SystemExit) as exit_info:
             main(["run", str(path), "--check-only", f"{flag}={value}"])
