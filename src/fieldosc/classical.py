@@ -138,7 +138,7 @@ class Drive:
         out = np.zeros(tt.shape + (3,))
         for w, ca, sa in self.terms:
             out += np.cos(w * tt)[..., None] * ca + np.sin(w * tt)[..., None] * sa
-        return out[0] if t.ndim == 0 else out.reshape(t.shape + (3,))
+        return out[0] if t.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -263,19 +263,21 @@ def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.nd
         raise ValueError("forced path needs an even panel count >= 2")
     dt = times[1] - times[0]
     k = drive(times)  # (N+1, 3)
+    c, s = np.cos(w * times), np.sin(w * times)
+    upper = _sin_over_mw(params, times, s)
     out = np.zeros((times.size, 6))
     for axis in range(3):
         kx = k[:, axis]
-        if axis < 2 and m * w > 0.0:
-            c, s = np.cos(w * times), np.sin(w * times)
+        if axis < 2:
             v_q = _sin_over_mw(params, times, s, -kx)
             v_p = c * kx
             c1 = cumulative_simpson(v_q, dt)
             c2 = cumulative_simpson(v_p, dt)
-            out[:, 2 * axis] = c * c1 + _sin_over_mw(params, times, s) * c2
+            out[:, 2 * axis] = c * c1 + upper * c2
             out[:, 2 * axis + 1] = -m * w * s * c1 + c * c2
         else:
-            # omega -> 0 limit: kernel (t - s)/m for the position row
+            # the axial axis has no omega: free kernel (t - s)/m for the
+            # position row
             c1 = cumulative_simpson(-times * kx / m, dt)
             c2 = cumulative_simpson(kx, dt)
             out[:, 2 * axis] = c1 + times * c2 / m
@@ -388,13 +390,11 @@ def moving_origin_map(
 
     @functools.lru_cache(maxsize=1)
     def at(t: float) -> tuple[np.ndarray, float]:
-        origin, phase = np.zeros(6), 0.0
-        if t != 0.0:
-            grid = np.linspace(0.0, t, simpson_panels(panels_per_unit, t) + 1)
-            path, action = _forced_path_and_action(grid, params, drive)
-            origin, phase = path[-1].copy(), float(action[-1])
+        grid = np.linspace(0.0, t, simpson_panels(panels_per_unit, t) + 1)
+        path, action = _forced_path_and_action(grid, params, drive)
+        origin = path[-1].copy()
         origin.flags.writeable = False
-        return origin, phase
+        return origin, float(action[-1])
 
     def origin(t) -> np.ndarray:
         return at(float(t))[0]

@@ -7,9 +7,9 @@ reported with the offending key and line).  ``run`` executes each
 scenario's pipeline, evaluates the module invariants as named checks, and,
 given an output directory, writes plot-ready CSV artifacts there.  Each
 check's tolerance is a constant beside the check, not a setting.  Exit
-status: 0 if every check of every scenario passes, 1 if a check fails, 2
-for a bad scenario file, and 3 if a scenario raised (it gets a failed
-``error`` line; the others still run).
+status: 0 if every check of every scenario passes, 1 if a check fails or
+a scenario ran no check, 2 for a bad scenario file, and 3 if a scenario
+raised (it gets a failed ``error`` line; the others still run).
 
 CSV artifacts use a one-line header, '.' decimals, and 17-significant-
 digit scientific notation so repeated runs are byte-identical.
@@ -116,7 +116,9 @@ class RunReport:
 
     @property
     def passed(self) -> bool:
-        return self.error is None and all(c.passed for c in self.checks)
+        """No error, at least one check, and every check passed: a run that
+        checked nothing verified nothing."""
+        return self.error is None and bool(self.checks) and all(c.passed for c in self.checks)
 
 
 # ----------------------------------------------------------------------
@@ -258,8 +260,6 @@ def parse_scenario(path) -> Scenario:
             value = parser(text)
             if validator is not None:
                 validator(value)
-        except ScenarioError:
-            raise
         except Exception as exc:
             raise ScenarioError(f"{path}:{lineno}: key '{key}': {exc}") from None
         params[key] = value
@@ -384,32 +384,30 @@ def _run_quantum(sc: Scenario):
 def _run_expansion(sc: Scenario):
     p = sc.params
     theta = p["theta"]
+    params = OscParams(1.0, 1.0)
     rows = []
     ortho_defect = 0.0
     leak = 0.0
+    degeneracy = 0.0
     for level in range(1, p["max_level"] + 1):
         mat = np.zeros((level + 1, level + 1))
+        energies = []
         for k1 in range(level + 1):
             coeffs, leakage = rotated_product_coefficients(k1, level - k1, theta)
             leak = max(leak, leakage)
             for (m1, m2), c in coeffs.items():
                 mat[k1, m1] = c
                 rows.append((level, k1, level - k1, m1, m2, c))
+            energies.append(oscillator_energy(EigenLabel(k1, level - k1), params, 1.0))
         ortho_defect = max(
             ortho_defect, float(np.max(np.abs(mat @ mat.T - np.eye(level + 1))))
         )
-    one, _ = rotated_product_coefficients(1, 0, theta)
-    level1_defect = max(
-        abs(one[(1, 0)] - math.cos(theta)), abs(one[(0, 1)] - math.sin(theta))
-    )
-    params = OscParams(1.0, 1.0)
-    degeneracy = 0.0
-    for level in range(1, p["max_level"] + 1):
-        energies = [
-            oscillator_energy(EigenLabel(k, level - k), params, 1.0)
-            for k in range(level + 1)
-        ]
         degeneracy = max(degeneracy, max(energies) - min(energies))
+        if level == 1:
+            # row 1 holds the rotated (1, 0) state: cos on (1, 0), sin on (0, 1)
+            level1_defect = float(
+                max(abs(mat[1, 1] - math.cos(theta)), abs(mat[1, 0] - math.sin(theta)))
+            )
     checks = [
         CheckResult("level-orthogonality", ortho_defect, 1e-8),
         CheckResult("single-quantum-rotation", level1_defect, 1e-10),
@@ -596,14 +594,13 @@ def main(argv=None) -> int:
         reports = [execute(sc) for sc in scenarios]
 
     reports.sort(key=lambda r: r.scenario)
-    failures = 0
     for report in reports:
         if report.error is not None:
             print(f"[FAIL] {report.scenario}: error ({report.error})")
+        elif not report.checks:
+            print(f"[FAIL] {report.scenario}: no check ran")
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
-            if not check.passed:
-                failures += 1
             print(
                 f"[{status}] {report.scenario}: {check.name} "
                 f"(defect {check.defect:.3e} vs tolerance {check.tolerance:.3e})"
@@ -614,7 +611,7 @@ def main(argv=None) -> int:
         )
     if any(r.error is not None for r in reports):
         return 3
-    return 0 if failures == 0 else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 if __name__ == "__main__":

@@ -39,7 +39,8 @@ _PANELS_PER_UNIT = 10_000.0  # default quadrature resolution, panels per unit ti
 class OscParams:
     """Mass and angular frequency of a harmonic degree of freedom.
 
-    omega = 0 is allowed and selects the free-particle propagator block.
+    omega = 0 is allowed: it is the omega -> 0 limit of the oscillator
+    formulas, the free particle.
     """
 
     mass: float = 1.0
@@ -139,10 +140,12 @@ def rotation_about_z(angle: float) -> np.ndarray:
 
 def _sin_over_mw(params: OscParams, t, s, factor=1.0):
     """sin(wt) * factor / (m w), the upper propagator entry times `factor`,
-    given s = sin(wt), at one time or an array of times (omega > 0).  Where
-    m w is subnormal, or w t is subnormal or 0 at t != 0, a quotient of
-    those quantised values loses its precision (w = 5e-324 gives
-    sin(2.5 w)/w = 2), so there it is (t/m) * (sin(wt)/(wt)) * factor."""
+    given s = sin(wt), at one time or an array of times, for every
+    omega >= 0.  Where m w is 0 or subnormal, or w t is subnormal or 0 at
+    t != 0, the quotient is 0/0 or a quotient of quantised values that
+    has lost its precision (w = 5e-324 gives sin(2.5 w)/w = 2), so there
+    it is the limit (t/m) * (sin(wt)/(wt)) * factor, which is
+    (t/m) * factor at w = 0."""
     m, w = params.mass, params.omega
     x = w * t
     small = (abs(x) < _TINY) & (t != 0.0)
@@ -160,29 +163,23 @@ def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
 
     U(t) has the oscillator block [[cos wt, sin(wt)/(m w)], [-m w sin wt,
     cos wt]] on each planar pair and the free block [[1, t/m], [0, 1]] on
-    the axial one; the planar blocks are free too where m w is 0, and keep
-    that limit at subnormal omega (`_sin_over_mw`).  Returns shape
-    (len(times), ..., 6).
+    the axial one.  The planar formula is one for every omega >= 0: at
+    omega = 0, and at subnormal omega, `_sin_over_mw` gives the upper entry
+    its limit t/m, so the planar blocks are the free block there.  Returns
+    shape (len(times), ..., 6).
     """
     z0 = _as_state(z0)
     times = np.atleast_1d(_as_times(times))
     m, w = params.mass, params.omega
     out = np.empty(times.shape + z0.shape)
     pad = (...,) + (None,) * (z0.ndim - 1)
-    if m * w > 0.0:
-        s = np.sin(w * times)
-        upper = _sin_over_mw(params, times, s)[pad]
-        c, s = np.cos(w * times)[pad], s[pad]
-        for axis in (0, 1):
-            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
-            out[..., 2 * axis] = c * q + upper * p
-            out[..., 2 * axis + 1] = -m * w * s * q + c * p
-    else:
-        tgrid = times[pad]
-        for axis in (0, 1):
-            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
-            out[..., 2 * axis] = q + tgrid * p / m
-            out[..., 2 * axis + 1] = np.broadcast_to(p, out[..., 0].shape)
+    s = np.sin(w * times)
+    upper = _sin_over_mw(params, times, s)[pad]
+    c, s = np.cos(w * times)[pad], s[pad]
+    for axis in (0, 1):
+        q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
+        out[..., 2 * axis] = c * q + upper * p
+        out[..., 2 * axis + 1] = -m * w * s * q + c * p
     tgrid = times[pad]
     out[..., 4] = z0[..., 4] + tgrid * z0[..., 5] / m
     out[..., 5] = np.broadcast_to(z0[..., 5], out[..., 0].shape)

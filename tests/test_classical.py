@@ -344,6 +344,9 @@ class TestMovingOriginMap:
         mover = moving_origin_map(OscParams(1.0, 0.9), drive, QUAD)
         z = np.array([0.5, -0.1, 0.2, 0.3, -0.4, 0.6])
         assert np.array_equal(mover.forward(0.0, z), z)
+        assert np.array_equal(mover.q_nh(0.0), np.zeros(3))
+        assert np.array_equal(mover.p_nh(0.0), np.zeros(3))
+        assert mover.phase_A(0.0) == 0.0
 
     def test_constant_force_phase(self):
         # free particle pushed by F: the accumulated action is F^2 t^3 / 3
@@ -433,6 +436,20 @@ class TestSubnormalFrequency:
             # unit force from rest: Q1 = t^2 / 2, P1 = t
             assert out[-1, 0] == pytest.approx(t * t / 2.0, rel=1e-14, abs=0.0)
             assert out[-1, 1] == pytest.approx(t, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mass", [1.3, 0.7])
+    def test_zero_omega_is_the_subnormal_limit(self, mass):
+        # w = 0 is the free particle, which is also the w -> 0 limit that
+        # the subnormal w computes: both take one planar formula, bit for bit
+        z = (0.3, -0.7, 0.1, 0.9, 0.2, -0.4)
+        drive = Drive.sinusoids([(0.9, (0.3, -0.2, 0.1), (0.05, 0.1, 0.0))])
+        zero, tiny = OscParams(mass, 0.0), OscParams(mass, 5e-324)
+        times = np.linspace(0.0, 2.5, 11)
+        assert np.array_equal(
+            block_propagate_path(zero, z, times), block_propagate_path(tiny, z, times)
+        )
+        times = np.linspace(0.0, 2.5, 65)
+        assert np.array_equal(forced_path(zero, drive, times), forced_path(tiny, drive, times))
 
 
 class TestRK4Oracle:

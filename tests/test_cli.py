@@ -320,14 +320,16 @@ class TestMain:
     def test_runaway_hill_row_is_quiet(self, tmp_path, capsys):
         # the one row overflows: the map calls it unstable, numpy does not
         # warn (a warning would be an error here), and no check has a row
-        # to read, so none is printed
+        # to read, so none ran and the scenario verified nothing: it fails
         path = write(
             tmp_path,
             "hill.cfg",
             "mode = hill-stability\na_min = -1e5\na_max = -1e5\na_count = 1\nq_count = 1\n",
         )
-        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-        assert capsys.readouterr().out.startswith("-- hill: ok")
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "[FAIL] hill: no check ran"
+        assert out[1].startswith("-- hill: FAILED")
         table = (tmp_path / "out" / "hill_stability.csv").read_text().splitlines()
         assert table[1].endswith(",inf,unstable")
 

@@ -423,8 +423,7 @@ class TestMonodromy:
         sys = HillSystem(
             omega_sq=lambda t: np.full_like(np.asarray(t, float), -1e4), period=math.pi
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = hill_monodromy(sys)
+        rep = hill_monodromy(sys)
         assert rep.classification == "unstable"
 
     @given(
@@ -492,11 +491,10 @@ class TestMonodromy:
         sys = HillSystem(
             omega_sq=lambda t: np.full_like(np.asarray(t, float), -1e4), period=period
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = hill_monodromy(sys, n_steps=4096)
-            rows = stability_map(
-                lambda a, q, t: a + q * np.cos(t), period, [-1e4, 1.2], [0.0], n_steps=4096
-            )
+        rep = hill_monodromy(sys, n_steps=4096)
+        rows = stability_map(
+            lambda a, q, t: a + q * np.cos(t), period, [-1e4, 1.2], [0.0], n_steps=4096
+        )
         assert rep.trace == rows[0].trace == math.inf
         assert math.isnan(rep.det) and math.isnan(rows[0].det)
         assert rep.classification == rows[0].classification == "unstable"
@@ -566,16 +564,15 @@ class TestMathieuStability:
         # a = 1e10 overflows at this step size: trace inf and det nan, as
         # hill_monodromy reports a non-finite run
         n = 512
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = stability_map(
-                lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t),
-                math.pi,
-                np.append(np.linspace(0.2, 2.2, 6), 1e10),
-                [0.0, 0.25],
-                n_steps=n,
-            )
-            zero = [r for r in rows if r.param2 == 0.0]
-            reps = [hill_monodromy(mathieu_hill(r.param1, 0.0), n_steps=n) for r in zero]
+        rows = stability_map(
+            lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t),
+            math.pi,
+            np.append(np.linspace(0.2, 2.2, 6), 1e10),
+            [0.0, 0.25],
+            n_steps=n,
+        )
+        zero = [r for r in rows if r.param2 == 0.0]
+        reps = [hill_monodromy(mathieu_hill(r.param1, 0.0), n_steps=n) for r in zero]
         assert len(zero) == 7 and zero[-1].trace == math.inf
         for row, rep in zip(zero, reps):
             assert row.trace == rep.trace
