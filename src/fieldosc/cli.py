@@ -452,10 +452,10 @@ def _run_case1(sc: Scenario):
 
     J = cross_matrix((0.0, 0.0, 1.0))
 
-    def rhs(r, rate):
-        return rate * (J @ r)
+    def generators(times):
+        return field.rate(times)[..., None, None] * J
 
-    for _, r in rk4_steps(rhs, field.rate, np.eye(3), T / n, n):
+    for _, r in rk4_steps(lambda r, a: a @ r, generators, np.eye(3), T / n, n):
         pass
     closed = accumulated_rotation(field, T)
     ortho = float(np.max(np.abs(closed.T @ closed - np.eye(3))))

@@ -33,6 +33,9 @@ __all__ = [
 _TINY = sys.float_info.min  # smallest normal double
 _MIN_PANELS = 32  # the fewest panels of any quadrature
 _PANELS_PER_UNIT = 10_000.0  # default quadrature resolution, panels per unit time
+# RK4 steps per stage call: a block's stage values hold 3 * 32 copies of
+# the coefficient, so longer blocks trade memory for fewer calls
+_BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -229,30 +232,35 @@ def rk4_steps(
     """Classic fixed-step RK4 for dy/dt = rhs(y, c(t)), yielding (t, y)
     after each of `steps` steps of size h.
 
-    Each step makes one call `stage_values(i*h + [0, h/2, h])`, which must
-    return the coefficient c at those three stage times along its first
-    axis; k1 reads the first, k2 and k3 the second, k4 the third.  k4's
-    time is i*h + h, which is not always the step time (i+1)*h.  y is one
-    C-order float copy of y0, updated in place by
-    y += (h/6) * (((k1 + 2 k2) + 2 k3) + k4), rounded in that order, so a
-    caller that keeps a step must copy it.  `rhs` must return a fresh
-    array of y's shape, which the update overwrites.
+    Steps run in blocks of at most 32, and each block makes one call
+    `stage_values(times)` on its (k, 3) stage times, row j being
+    i*h + [0, h/2, h] for the block's j-th step i.  It must return the
+    coefficient c at those times along its first two axes (any sequence
+    of k rows of three does); k1 reads a row's first value, k2 and k3 its
+    second, k4 its third.  k4's time is i*h + h, which is not always the
+    step time (i+1)*h.  y is one C-order float copy of y0, updated in
+    place by y += (h/6) * (((k1 + 2 k2) + 2 k3) + k4), rounded in that
+    order, so a caller that keeps a step must copy it.  `rhs` must return
+    a fresh array of y's shape, which the update overwrites.
     """
     y = np.array(y0, dtype=float, order="C")
     half_h = 0.5 * h
     offsets = np.array([0.0, half_h, h])
     sixth_h = h / 6.0
-    for i in range(steps):
-        start, mid, end = stage_values(i * h + offsets)
-        k1 = rhs(y, start)
-        k2 = rhs(y + half_h * k1, mid)
-        k3 = rhs(y + half_h * k2, mid)
-        k4 = rhs(y + h * k3, end)
-        k2 *= 2.0
-        k3 *= 2.0
-        k1 += k2
-        k1 += k3
-        k1 += k4
-        k1 *= sixth_h
-        y += k1
-        yield (i + 1) * h, y
+    for first in range(0, steps, _BLOCK_STEPS):
+        last = min(first + _BLOCK_STEPS, steps)
+        # float64 i * h rounds as Python's int * float does
+        stages = stage_values((np.arange(first, last) * h)[:, None] + offsets)
+        for i, (start, mid, end) in zip(range(first, last), stages):
+            k1 = rhs(y, start)
+            k2 = rhs(y + half_h * k1, mid)
+            k3 = rhs(y + half_h * k2, mid)
+            k4 = rhs(y + h * k3, end)
+            k2 *= 2.0
+            k3 *= 2.0
+            k1 += k2
+            k1 += k3
+            k1 += k4
+            k1 *= sixth_h
+            y += k1
+            yield (i + 1) * h, y

@@ -317,9 +317,10 @@ def _monodromy_matrices(
 ) -> np.ndarray:
     """RK4 fundamental solutions of x'' + w2(t) x = 0 over one period.
 
-    `omega_sq_values(t)` takes a step's (3,) array of stage times and
-    returns w2 at each, shape (3,) + batch; the batch shape, read from one
-    probe at t = 0, may be () and sets the result's shape (..., 2, 2).
+    `omega_sq_values(t)` takes a (k, 3) array of stage times, a block of
+    k RK4 steps (see `rk4_steps`), and returns w2 at each, shape
+    (k, 3) + batch; the batch shape, read from one probe on (1, 3) zero
+    times, may be () and sets the result's shape (..., 2, 2).
     Runs vectorized over the batch, on the four matrix entries updated
     entrywise: a matrix product would turn 0 * inf into nan where a
     runaway row overflows.  The one check of both entry points:
@@ -332,11 +333,15 @@ def _monodromy_matrices(
 
     def neg_w2(times):
         values = np.negative(omega_sq_values(times), dtype=float)
-        if not np.isfinite(values).all():
-            raise ValueError(f"omega^2 must be finite, got a non-finite value at t in {times}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = ~finite.reshape(times.shape + (-1,)).all(axis=-1)
+            raise ValueError(
+                f"omega^2 must be finite, got a non-finite value at t = {float(times[bad][0])}"
+            )
         return values
 
-    shape = neg_w2(np.zeros(3)).shape[1:]
+    shape = neg_w2(np.zeros((1, 3))).shape[2:]
 
     def rhs(y, w2):
         # derivative of the flattened [[a, b], [c, d]] under [[0, 1], [-w2, 0]]
@@ -407,15 +412,15 @@ def stability_map(
     """Classify every point of a parameter grid.
 
     `omega_sq_family(p1, p2, t)` must broadcast over arrays of parameters
-    and a column of stage times; the whole grid is integrated as one
-    batch.  Rows come out in row-major (param1-major) order.
+    and stage times with a trailing axis of length one; the whole grid is
+    integrated as one batch.  Rows come out in row-major (param1-major) order.
     """
     p1g, p2g = np.meshgrid(
         np.asarray(param1, dtype=float), np.asarray(param2, dtype=float), indexing="ij"
     )
     p1f, p2f = p1g.ravel(), p2g.ravel()
     traces, dets, defects = _trace_det(
-        _monodromy_matrices(lambda t: omega_sq_family(p1f, p2f, t[:, None]), period, n_steps)
+        _monodromy_matrices(lambda t: omega_sq_family(p1f, p2f, t[..., None]), period, n_steps)
     )
     return [
         StabilityRow(float(a), float(b), float(tr), _classify(float(tr)), float(d), float(e))

@@ -180,8 +180,8 @@ class TestRunners:
         assert np.array_equal(r, ode)
 
     def test_case1_reuses_stage_generators(self, tmp_path, monkeypatch):
-        # one rate call per step on its three stage times, k3 reusing
-        # k2's midpoint rate
+        # one rate call per block of 32 steps on their three stage times
+        # each, k3 reusing k2's midpoint rate
         calls = []
         rate = FixedAxisField.rate
 
@@ -192,8 +192,8 @@ class TestRunners:
         monkeypatch.setattr(FixedAxisField, "rate", counted)
         path = write(tmp_path, "c1.cfg", "mode = case1\ntime = 2.0\node_steps = 3000\n")
         assert run(parse_scenario(path)).passed
-        # one more call for the closed form
-        assert len(calls) == 3000 + 1
+        # 94 blocks, and one more call for the closed form
+        assert len(calls) == 94 + 1
 
     def test_hill_mode_artifact(self, tmp_path):
         path = write(

@@ -232,8 +232,8 @@ class TestTimeCheck:
 
 class TestRK4Stages:
     def test_one_stage_call_per_step(self):
-        # one call per step on the step's three stage times, i*h + h/2
-        # shared by k2 and k3; the same values as evaluating the
+        # one call per block of steps on each step's three stage times,
+        # i*h + h/2 shared by k2 and k3; the same values as evaluating the
         # coefficient at each of the four stage times
         calls = []
 
@@ -242,13 +242,14 @@ class TestRK4Stages:
 
         def stage_values(times):
             calls.append(times.copy())
-            return [coefficient(t) for t in times]
+            return [[coefficient(t) for t in row] for row in times]
 
         steps, h = 7, 0.3
         for _, y in rk4_steps(lambda y, c: c @ y, stage_values, np.eye(2), h, steps):
             pass
-        assert len(calls) == steps
-        for i, times in enumerate(calls):
+        assert len(calls) == 1
+        assert calls[0].shape == (steps, 3)
+        for i, times in enumerate(calls[0]):
             assert np.array_equal(times, [i * h, i * h + h / 2, i * h + h])
         plain = np.eye(2)
         for i in range(steps):
@@ -259,3 +260,42 @@ class TestRK4Stages:
             k4 = coefficient(t + h) @ (plain + h * k3)
             plain = plain + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
         assert np.array_equal(y, plain)
+
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33, 97])
+    def test_blocks_match_the_per_step_loop(self, steps):
+        # blocks of at most 32 steps, each step's stage times those of
+        # Python's int i, and the path bit for bit that of one stage
+        # evaluation per step
+        h = 2.0 * math.pi / 97
+        calls = []
+
+        def stage_values(times):
+            calls.append(times.copy())
+            out = np.zeros(times.shape + (2, 2))
+            out[..., 0, 1] = 1.0
+            out[..., 1, 0] = -1.0 - 0.5 * np.square(times)
+            return out
+
+        def coefficient(t):
+            return np.array([[0.0, 1.0], [-1.0 - 0.5 * t * t, 0.0]])
+
+        path = [
+            (t, y.copy())
+            for t, y in rk4_steps(lambda y, c: c @ y, stage_values, np.eye(2), h, steps)
+        ]
+        assert len(calls) == -(-steps // 32)
+        assert all(len(times) <= 32 for times in calls)
+        stage_times = np.concatenate(calls)
+        assert stage_times.shape == (steps, 3)
+        for i, times in enumerate(stage_times):
+            assert np.array_equal(times, i * h + np.array([0.0, h / 2, h]))
+        plain = np.eye(2)
+        for i in range(steps):
+            start, mid, end = (coefficient(t) for t in i * h + np.array([0.0, h / 2, h]))
+            k1 = start @ plain
+            k2 = mid @ (plain + 0.5 * h * k1)
+            k3 = mid @ (plain + 0.5 * h * k2)
+            k4 = end @ (plain + h * k3)
+            plain = plain + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+            assert path[i][0] == (i + 1) * h
+            assert np.array_equal(path[i][1], plain)

@@ -442,7 +442,7 @@ class TestMonodromy:
         def family(t):
             return a + 2.0 * q * np.cos(2.0 * t)
 
-        batch = _monodromy_matrices(lambda t: family(t[:, None]), math.pi, 1024)
+        batch = _monodromy_matrices(lambda t: family(t[..., None]), math.pi, 1024)
         assert batch.shape == (189, 2, 2)
         assert np.array_equal(batch, reference_monodromy(family, math.pi, 1024))
         sys = mathieu_hill(1.2, 0.25)
@@ -450,8 +450,8 @@ class TestMonodromy:
         assert np.array_equal(rep.matrix, reference_monodromy(sys.omega_sq_values, math.pi, 1024))
 
     def test_stage_values_are_reused(self):
-        # one call per step on its three stage times, k3 reusing k2's
-        # midpoint value, plus the probe of the batch shape
+        # one call per block of 32 steps on their three stage times each,
+        # k3 reusing k2's midpoint value, plus the probe of the batch shape
         times = []
 
         def family(t):
@@ -459,7 +459,7 @@ class TestMonodromy:
             return 1.2 + 0.5 * np.cos(2.0 * t)
 
         _monodromy_matrices(family, math.pi, 2048)
-        assert len(times) == 2048 + 1
+        assert len(times) == 64 + 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_omega_sq_rejected(self, bad):
@@ -472,6 +472,19 @@ class TestMonodromy:
             stability_map(
                 lambda a, q, t: a + q * np.where(t > 0.5, bad, 1.0), 1.0, [1.0, 2.0], [0.1], 16
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_omega_sq_in_last_block_named(self, bad):
+        # 97 steps of 1.0 run in blocks of 32, 32, 32 and 1; w2 turns
+        # non-finite at the last step's midpoint, which the message names
+        def omega_sq(t):
+            return np.where(t >= 96.5, bad, 1.0)
+
+        message = "^omega\\^2 must be finite, got a non-finite value at t = 96.5$"
+        with pytest.raises(ValueError, match=message):
+            hill_monodromy(HillSystem(omega_sq=omega_sq, period=97.0), 97)
+        with pytest.raises(ValueError, match=message):
+            stability_map(lambda a, q, t: a + q * omega_sq(t), 97.0, [1.0, 2.0], [0.1], 97)
 
     def test_runaway_non_finite_pattern_matches_reference(self):
         def runaway(t):
