@@ -129,8 +129,12 @@ class Drive:
         )
 
     def frequency_scale(self) -> float:
-        """Fastest rate at which the force changes: the largest |w|."""
-        return max((abs(w) for w, _, _ in self.terms), default=0.0)
+        """Fastest rate at which the force changes: the largest |w| over
+        the terms with a nonzero amplitude (a term that is all zeros is
+        no force at any rate)."""
+        return max(
+            (abs(w) for w, ca, sa in self.terms if ca.any() or sa.any()), default=0.0
+        )
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -154,6 +154,16 @@ class TestDrive:
         with pytest.raises(ValueError, match="finite"):
             Drive.constant((0.0, math.inf, 0.0))
 
+    def test_frequency_scale_skips_zero_terms(self):
+        # rotating_constant always emits a planar term at its rate; with a
+        # zero planar vector that term is no force, and it used to set the
+        # split-step's time scale
+        assert Drive.rotating_constant((0.0, 0.0, 0.3), 5.0).frequency_scale() == 0.0
+        assert Drive.rotating_constant((-0.0, 0.0, 0.0), 5.0).frequency_scale() == 0.0
+        assert Drive.rotating_constant((0.0, 0.1, 0.3), 5.0).frequency_scale() == 5.0
+        tiny = Drive.sinusoids([(-7.0, (0.0, 0.0, 0.0), (0.0, 0.0, 5e-324))])
+        assert tiny.frequency_scale() == 7.0
+
 
 class TestHamiltonians:
     def test_h1_zero_state(self):

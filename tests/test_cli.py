@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -247,8 +248,33 @@ class TestRunners:
         )
         report = run(parse_scenario(path))
         assert report.passed
-        names = {c.name for c in report.checks}
-        assert "moving-origin-identity" in names
+        defects = {c.name: c.defect for c in report.checks}
+        assert "moving-origin-identity" in defects
+        # the driven evolution is the oscillator's, so the link compares
+        # the same two states as the identity check
+        assert defects["moving-origin-link"] == defects["moving-origin-identity"]
+
+    @pytest.mark.parametrize(
+        "e_field, evolutions", [("0, 0, 0", 2), ("-0.0, 0, 0", 2), ("0.1, -0.05, 0", 3)]
+    )
+    def test_quantum_evolutions(self, tmp_path, monkeypatch, e_field, evolutions):
+        # a drive-free packet is evolved once for the oscillator and the
+        # driven oscillator, and once for the charge
+        calls = []
+        evolve = cli.split_step_evolve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return evolve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "split_step_evolve", counted)
+        path = write(
+            tmp_path,
+            "q.cfg",
+            f"mode = quantum-pipeline\nb3 = 2.0\ne_field = {e_field}\ngrid_n = 32\ntime = 0.1\n",
+        )
+        assert run(parse_scenario(path)).passed
+        assert len(calls) == evolutions
 
     def test_quantum_pipeline_at_hbar_two(self, tmp_path, capsys):
         path = write(
@@ -382,6 +408,18 @@ class TestMain:
         assert "[FAIL] narrow: error (GridSupportError: " in capsys.readouterr().out
         assert calls == []
 
+    def test_drive_free_scenario_with_a_fast_frame_runs(self, tmp_path, capsys):
+        # frame rate 600 at dt = 1e-3: the zero planar force used to be
+        # refused as a drive too fast for dt
+        path = write(
+            tmp_path,
+            "fast.cfg",
+            "mode = quantum-pipeline\nb3 = 1200\ngrid_n = 64\ngrid_x = 0.5\ntime = 0.01\n"
+            "center = 0, 0\nmomentum = 0, 0\nwidth = 0.04\n",
+        )
+        assert main(["run", str(path), "--check-only"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
     def test_flow_blowup_is_one_error_line_without_warnings(self, tmp_path):
         # the kinetic term overflows in the first step: the oracle's
         # finiteness check reports it, and numpy prints nothing
@@ -507,6 +545,81 @@ class TestWavefunctionExport:
                 lines.append(",".join(format(float(x), ".16e") for x in row))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
         assert b",inf\n" in path.read_bytes()
+
+
+def _csv_reference(header, rows) -> bytes:
+    """A table as written one value at a time."""
+
+    def one(v):
+        if isinstance(v, str):
+            return v
+        if isinstance(v, (int, np.integer)):
+            return str(int(v))
+        return format(float(v), ".16e")
+
+    lines = [",".join(header)] + [",".join(map(one, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, math.inf, -math.inf, math.nan, 1e308, 0.1, -2.5e-300]
+
+
+def _csv_rows(count):
+    return [
+        (
+            f"s{i}",
+            i - 200,
+            np.int64(-(i**3)),
+            _SPECIAL_FLOATS[i % 8] * (1 + i),
+            np.float64(_SPECIAL_FLOATS[(3 * i) % 8]) / (1 + i),
+            # one column mixes float and np.float64: both write as floats
+            float(i) / 7.0 if i % 2 else np.float64(-i / 3.0),
+        )
+        for i in range(count)
+    ]
+
+
+class TestCsvWriter:
+    HEADER = ["name", "int", "int64", "float", "float64", "mixed"]
+
+    @pytest.mark.parametrize("count", [0, 1, 255, 256, 257, 513])
+    def test_bytes_match_per_value_formatting(self, tmp_path, count):
+        rows = _csv_rows(count)
+        path = tmp_path / "table.csv"
+        cli._write_csv(path, self.HEADER, iter(rows))
+        assert path.read_bytes() == _csv_reference(self.HEADER, rows)
+        assert path.read_text().count("\n") == count + 1
+
+    @pytest.mark.parametrize(
+        "changed", [range(1, 2), range(255, 256), range(300, 301), range(256, 400)],
+        ids=["row1", "row255", "row300", "rows256-399"],
+    )
+    @pytest.mark.parametrize(
+        "column, value", [(0, 1.5), (1, 1.0), (3, "x"), (3, 2)],
+        ids=["str-float", "int-float", "float-str", "float-int"],
+    )
+    def test_type_change_mid_table_raises(self, tmp_path, changed, column, value):
+        # a row whose conversion differs from the first row's raises, also
+        # when every row of a later block changes alike
+        rows = _csv_rows(400)
+        for i in changed:
+            rows[i] = rows[i][:column] + (value,) + rows[i][column + 1 :]
+        with pytest.raises(TypeError):
+            cli._write_csv(tmp_path / "table.csv", self.HEADER, rows)
+
+    def test_demo_tables_have_one_type_signature(self):
+        # the block writer takes its format from a block's first row: in
+        # every demo table, each row has the column types of the first
+        demos = Path(__file__).resolve().parents[1] / "scenarios"
+        configs = sorted(demos.glob("*.cfg"))
+        assert len(configs) == 7
+        for config in configs:
+            scenario = parse_scenario(config)
+            _, tables = cli._RUNNERS[scenario.mode](scenario)
+            for table, (header, rows) in tables.items():
+                signatures = {tuple(map(type, row)) for row in rows}
+                assert len(signatures) == 1, (config.name, table, signatures)
+                assert len(next(iter(signatures))) == len(header)
 
 
 class TestPackageNames:

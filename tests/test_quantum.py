@@ -476,6 +476,25 @@ class TestSplitStepBits:
         got = split_step_evolve(psi0, ham, 0.2, dt).values
         assert np.array_equal(got, _reference_split_step(psi0, ham, 0.2, dt))
 
+    @pytest.mark.parametrize(
+        "b3, n", [(2.5, 32), (-2.2, 32), (3.0, 32), (2.5, 64), (-2.2, 64), (3.0, 64), (1200.0, 32)]
+    )
+    def test_drive_free_driven_run_is_the_oscillator_run(self, b3, n):
+        # the rotated drive of a field with e = 0 is a zero force, so every
+        # driven factor is the oscillator's; at b3 = 1200 its frame rate
+        # times dt is 0.6, which a zero-amplitude term no longer makes the
+        # time-scale guard refuse
+        field = StaticField(b3=b3)
+        params = field.osc_params
+        grid = Grid(dims=2, n=n, half_width=8.0)
+        psi0 = gaussian_wavepacket(grid, (0.5, -0.3), (0.3, 0.1), 0.8)
+        ham = driven_hamiltonian(params, field.rotated_drive())
+        driven = split_step_evolve(psi0, ham, 0.2, 1e-3).values
+        plain = split_step_evolve(psi0, oscillator_hamiltonian(params), 0.2, 1e-3).values
+        assert np.array_equal(driven, plain)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(driven)), np.signbit(part(plain)))
+
     def test_quarter_turn_case_takes_both_rotation_paths(self):
         ham, dt = _SPLIT_CASES["planar-quarter-turn"]
         plan = _RotationPlan(Grid(dims=2, n=32, half_width=8.0), ham.rotation_rate * dt)
