@@ -188,69 +188,83 @@ class StaticField:
 def eval_H1(field: StaticField, z) -> np.ndarray | float:
     """Energy of a charge in the static field: |p - a(x)|^2/2m - q<x,E>
     with a(x) = (m*w_c/2) z_hat cross x (equal to B cross x / 2 at q=1)."""
-    return h1_evaluator(field)(_as_state(z), 0.0)
+    return h1_evaluator(field)(0.0)(np.moveaxis(_as_state(z), -1, 0))
 
 
-def eval_H2(params: OscParams, drive: Drive, z, t) -> np.ndarray | float:
-    """Driven-oscillator energy: kinetic + (m w^2/2)|planar Q|^2 - <Q, k(t)>;
-    at `Drive.zero()` it is the plain-oscillator energy H3."""
-    z = _as_state(z)
-    m, w = params.mass, params.omega
-    q = z[..., 0::2]
-    p = z[..., 1::2]
-    k = drive(t)
-    return (
-        np.sum(p * p, axis=-1) / (2.0 * m)
-        + 0.5 * m * w * w * (q[..., 0] ** 2 + q[..., 1] ** 2)
-        - np.sum(q * k, axis=-1)
-    )
+def eval_H2(params: OscParams, drive: Drive, z, t: float) -> np.ndarray | float:
+    """Driven-oscillator energy at time t: kinetic + (m w^2/2)|planar Q|^2
+    - <Q, k(t)>; at `Drive.zero()` it is the plain-oscillator energy H3."""
+    return h2_evaluator(params, drive)(t)(np.moveaxis(_as_state(z), -1, 0))
+
+
+def _h1_energy(half, two_mass, qe1, qe2, qe3, z):
+    x1, p1, x2, p2, x3, p3 = z
+    v1 = p1 + half * x2
+    v2 = p2 - half * x1
+    kinetic = (v1 * v1 + v2 * v2 + p3 * p3) / two_mass
+    return kinetic - (x1 * qe1 + x2 * qe2 + x3 * qe3)
 
 
 def h1_evaluator(fields) -> Callable:
-    """Vectorized H1 evaluator of one field, or batched over a sequence of
-    fields; the one H1 formula of the package.
+    """H1 of one field, or batched over a sequence of fields, in the
+    oracle's protocol; the one H1 formula of the package.
 
-    With B fields the returned callable maps states of shape (..., B, 6)
-    to energies of shape (..., B); a single field has no batch axis and
-    maps (..., 6) to (...).  It does not check its states (`eval_H1`
-    does); it is meant to feed `rk4_hamiltonian_flow`, which checks them.
+    `h1_evaluator(fields)(t)` is `energy(z)`, the same function at every
+    t, which reads a component-major state: z is six components
+    ``x1, p1, x2, p2, x3, p3``.  For one field they may be Python floats
+    (the coefficients are floats too, so no numpy call is made) or arrays
+    of any one shape.  For B fields each component is an array whose last
+    axis is the batch of B, and the energy has that shape.  It does not
+    check its states (`eval_H1` does); it is meant to feed
+    `rk4_hamiltonian_flow`, which checks them.
     """
-    batched = not isinstance(fields, StaticField)
-    # rows: the frame rate times m, 2m, and the three of q*E
-    coefs = np.array(
-        [
-            (f.frame_rate * f.mass, 2.0 * f.mass, *(np.asarray(f.e) * f.charge))
-            for f in (fields if batched else [fields])
-        ]
-    ).T
-    if not batched:
-        coefs = coefs[:, 0]
+    def coefs(f):
+        # the frame rate times m, 2m, and the three of q*E
+        return (f.frame_rate * f.mass, 2.0 * f.mass, *(c * f.charge for c in f.e))
+
+    if isinstance(fields, StaticField):
+        energy = functools.partial(_h1_energy, *coefs(fields))
+        return lambda t: energy
+    table = np.array([coefs(f) for f in fields]).T
 
     @functools.lru_cache(maxsize=8)
-    def coefs_for(batch: tuple) -> np.ndarray:
-        # spread out to the full batch shape, so that every ufunc below
-        # sees operands of one shape and no broadcasting
-        full = np.broadcast_shapes(batch, coefs.shape[1:])
-        column = coefs.reshape((5,) + (1,) * (len(full) - coefs.ndim + 1) + coefs.shape[1:])
+    def coefs_for(shape: tuple) -> tuple:
+        # spread out to the components' shape, so that every ufunc of the
+        # energy sees operands of one shape and no broadcasting
+        full = np.broadcast_shapes(shape, table.shape[1:])
+        column = table.reshape((5,) + (1,) * (len(full) - 1) + table.shape[1:])
         spread = np.broadcast_to(column, (5,) + full).copy()
         spread.flags.writeable = False  # shared by every call of that shape
-        return spread
+        return tuple(spread)
 
-    def evaluate(z, t):
-        half, two_mass, qe1, qe2, qe3 = coefs_for(z.shape[:-1])
-        x1, p1 = z[..., 0], z[..., 1]
-        x2, p2 = z[..., 2], z[..., 3]
-        x3, p3 = z[..., 4], z[..., 5]
-        v1 = p1 + half * x2
-        v2 = p2 - half * x1
-        kinetic = (v1 * v1 + v2 * v2 + p3 * p3) / two_mass
-        return kinetic - (x1 * qe1 + x2 * qe2 + x3 * qe3)
+    def energy(z):
+        return _h1_energy(*coefs_for(z[0].shape), z)
 
-    return evaluate
+    return lambda t: energy
 
 
 def h2_evaluator(params: OscParams, drive: Drive) -> Callable:
-    return lambda z, t: eval_H2(params, drive, z, t)
+    """Driven-oscillator H2 in the oracle's protocol: `h2_evaluator(params,
+    drive)(t)` evaluates the drive once, as three Python floats, and
+    returns `energy(z)` on a component-major state (six components, Python
+    floats or arrays of one shape)."""
+    two_mass = 2.0 * params.mass
+    stiffness = 0.5 * params.mass * params.omega * params.omega
+
+    def hamiltonian(t):
+        k1, k2, k3 = drive(t).tolist()
+
+        def energy(z):
+            x1, p1, x2, p2, x3, p3 = z
+            return (
+                (p1 * p1 + p2 * p2 + p3 * p3) / two_mass
+                + stiffness * (x1 * x1 + x2 * x2)
+                - (x1 * k1 + x2 * k2 + x3 * k3)
+            )
+
+        return energy
+
+    return hamiltonian
 
 
 # ----------------------------------------------------------------------
@@ -434,41 +448,29 @@ def solve_driven(
 # ----------------------------------------------------------------------
 
 
-def rk4_hamiltonian_flow(
-    hamiltonian: Callable,
-    z0,
-    t: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Classic RK4 integration of dz/dt = Sigma grad H, with the gradient
-    obtained by central finite differences (step 1e-5*(1 + max|z|)).
+def _one_state_velocity(state: np.ndarray, energy: Callable) -> np.ndarray:
+    """Sigma grad H at one state, shape (6,), with the energy and the
+    central differences in Python floats.  The arithmetic is the batch
+    path's, bit for bit: a plus row adds +0.0 to every component it does
+    not displace (so a -0.0 there becomes +0.0) and a minus row leaves
+    them as they are, as state + step * (+-eye) does."""
+    s = state.tolist()
+    scale = _FD_STEP * (1.0 + max(map(abs, s)))
+    plus = [c + 0.0 for c in s]
+    out = []
+    for c, sign in enumerate((2.0, -2.0, 2.0, -2.0, 2.0, -2.0)):
+        up, down = plus.copy(), s.copy()
+        up[c ^ 1] = s[c ^ 1] + scale
+        down[c ^ 1] = s[c ^ 1] - scale
+        out.append((energy(up) - energy(down)) / (scale * sign))
+    return np.array(out)
 
-    z0 may be a batch (..., 6) of finite states; t >= 0 and dt > 0 must
-    be finite.  `hamiltonian(z, t)` must broadcast over the leading axes
-    of z: each gradient is one call on a stack of the 12 displaced
-    states, shape (12,) + z0.shape, with the displacement axis leading
-    and the component axis last.  Row r < 6 displaces component r ^ 1
-    (the other half of its (Q, P) pair) by +step and row 6 + r displaces
-    it by -step, so the differences come out in the order of Sigma grad H.
-    The stack is a transposed view of a component-major buffer: z[..., k]
-    is a contiguous block.
 
-    Returns (times, path): the steps+1 times from 0 to t, and the states
-    there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H
-    quadratic in z makes the central difference exact up to roundoff, so
-    the oracle error is O(dt^4).  A step that leaves a non-finite state
-    raises FlowBlowupError, the one report of a blow-up: overflow inside
-    the step is not warned about.
-    """
-    steps, h = _fixed_steps(t, dt)
-    z = _as_state(z0)
+def _batch_velocity(batch: tuple) -> Callable:
+    """Sigma grad H at a batch of states, component-major, shape (6,) +
+    batch: one energy call on the stack of the 12 displaced states."""
     dim = 6
-    # The state is carried component-major, shape (dim,) + batch, so that
-    # every ufunc of a step runs on contiguous operands of one shape.
-    batch = z.shape[:-1]
     nb = len(batch)
-    to_state = tuple(range(1, nb + 1)) + (0,)
-    to_sides = tuple(range(1, nb + 2)) + (0,)
     # pattern times the step gives, in one product, the displacement of
     # component c in row r (the first 2*dim*dim entries, c-major) and then
     # the divisor +-2*step that turns the difference of row c into
@@ -483,23 +485,68 @@ def rk4_hamiltonian_flow(
         pattern.reshape((-1,) + (1,) * nb), (pattern.size,) + batch
     ).copy()
     n_disp = displacement.size
-    sides_shape = displacement.shape + batch
+    # the displaced states, shape (dim, 2*dim) + batch, component axis
+    # leading; energy reads them as a list of the six component views,
+    # made once: unpacking the array itself would end in an IndexError
+    sides = np.empty(displacement.shape + batch)
+    components = list(sides)
 
-    def velocity(state, time):
+    def velocity(state, energy):
         scale = _FD_STEP * (1.0 + np.maximum.reduce(np.abs(state), axis=0))
         spread = scale[None].repeat(pattern.shape[0], axis=0)
         spread *= pattern
-        sides = state.repeat(2 * dim, axis=0)
-        sides += spread[:n_disp]
-        # H sees shape (2*dim,) + batch + (dim,): displacement axis leading,
-        # component axis last
-        energies = hamiltonian(sides.reshape(sides_shape).transpose(to_sides), time)
+        np.add(state[:, None], spread[:n_disp].reshape(sides.shape), out=sides)
+        energies = energy(components)
         return (energies[:dim] - energies[dim:]) / spread[n_disp:]
+
+    return velocity
+
+
+def rk4_hamiltonian_flow(
+    hamiltonian: Callable,
+    z0,
+    t: float,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classic RK4 integration of dz/dt = Sigma grad H, with the gradient
+    obtained by central finite differences (step 1e-5*(1 + max|z|)).
+
+    z0 may be one state (6,) or a batch (..., 6) of finite states; t >= 0
+    and dt > 0 must be finite.  `hamiltonian(t)` is called once per stage
+    time, as a Python float (k2 and k3 share the midpoint's), and returns
+    `energy(z)`, which reads a component-major state:
+    ``x1, p1, x2, p2, x3, p3 = z``.  Row r < 6 of a gradient displaces
+    component r ^ 1 (the other half of its (Q, P) pair) by +step and row
+    6 + r displaces it by -step, so the differences come out in the order
+    of Sigma grad H.  For one state, z is a list of six Python floats and
+    `energy` is called once per row, with no numpy call; for a batch, z is
+    a list of six contiguous (12,) + batch arrays, the components of one
+    (6, 12) + batch buffer, and `energy` is called once per stage.  Both
+    give the same bits when `energy` uses only + - * /: numpy's vectorised
+    power and transcendental functions may round otherwise than the C
+    library's, which a Python float takes.
+
+    Returns (times, path): the steps+1 times from 0 to t, and the states
+    there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H
+    quadratic in z makes the central difference exact up to roundoff, so
+    the oracle error is O(dt^4).  A step that leaves a non-finite state
+    raises FlowBlowupError, the one report of a blow-up: overflow inside
+    the step is not warned about.
+    """
+    steps, h = _fixed_steps(t, dt)
+    z = _as_state(z0)
+    # The state is carried component-major, shape (6,) + batch, so that
+    # every ufunc of a step runs on contiguous operands of one shape.
+    batch = z.shape[:-1]
+    to_state = tuple(range(1, len(batch) + 1)) + (0,)
+    velocity = _batch_velocity(batch) if batch else _one_state_velocity
+
+    def stage_values(times):
+        return [[hamiltonian(time) for time in row] for row in times.tolist()]
 
     path = np.empty((steps + 1,) + z.shape)
     path[0] = z
-    # H receives each stage time as a Python float
-    flow = rk4_steps(velocity, np.ndarray.tolist, np.moveaxis(z, -1, 0), h, steps)
+    flow = rk4_steps(velocity, stage_values, np.moveaxis(z, -1, 0), h, steps)
     # overflow inside a step leaves a non-finite state: the check below
     # reports it, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):

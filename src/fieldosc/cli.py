@@ -50,6 +50,7 @@ from .classical import (
 from .quantum import (
     EigenLabel,
     Grid,
+    check_momentum_support,
     check_shift_support,
     driven_hamiltonian,
     gaussian_wavepacket,
@@ -400,6 +401,10 @@ def _run_quantum(sc: Scenario):
         phi2 = split_step_evolve(psi0, driven_hamiltonian(params, drive), T, dt)
     psi1_via = unitary_rotation(phi2, T, field.frame_rate)
     psi1 = split_step_evolve(psi0, planar_field_hamiltonian(field), T, dt)
+    # a packet whose momenta outgrow the grid fails here, not as a link
+    # defect: the oscillator run and the lab run, one FFT each
+    check_momentum_support(phi3)
+    check_momentum_support(psi1)
 
     checks = [
         CheckResult("moving-origin-link", phi2_via.distance(phi2), 1e-4),

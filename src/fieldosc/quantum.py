@@ -28,6 +28,7 @@ __all__ = [
     "GridSupportError",
     "GridHamiltonian",
     "check_shift_support",
+    "check_momentum_support",
     "hermite",
     "oscillator_eigenfunction",
     "oscillator_energy",
@@ -147,12 +148,22 @@ class WaveFunction:
 
     def boundary_mass(self) -> float:
         """Relative probability mass in the outermost frame, 4 cells wide."""
-        dens = np.abs(self.values) ** 2
-        total = float(np.sum(dens))
-        if total == 0.0:
-            return 0.0
-        core = dens[(slice(_BOUNDARY_CELLS, -_BOUNDARY_CELLS),) * self.grid.dims]
-        return float((total - np.sum(core)) / total)
+        return _frame_share(np.abs(self.values) ** 2)
+
+    def momentum_boundary_mass(self) -> float:
+        """Relative probability mass in the outermost frame of the
+        wavenumber grid, 4 bins wide: the same frame of the fftshift-ed
+        |fftn|^2, whose edge is the grid's largest wavenumber pi/spacing."""
+        return _frame_share(np.fft.fftshift(np.abs(np.fft.fftn(self.values)) ** 2))
+
+
+def _frame_share(dens: np.ndarray) -> float:
+    """Share of the total of `dens` in its outermost frame, 4 cells wide."""
+    total = float(np.sum(dens))
+    if total == 0.0:
+        return 0.0
+    core = dens[(slice(_BOUNDARY_CELLS, -_BOUNDARY_CELLS),) * dens.ndim]
+    return float((total - np.sum(core)) / total)
 
 
 @dataclass(frozen=True)
@@ -397,10 +408,9 @@ def product_eigenstate(
 # ----------------------------------------------------------------------
 
 
-def _support_check(wf: WaveFunction, what: str) -> None:
-    mass = wf.boundary_mass()
+def _support_check(mass: float, message: str) -> None:
     if mass > _SUPPORT_LIMIT:
-        raise GridSupportError(f"{what} would move support across the grid edge", mass)
+        raise GridSupportError(message, mass)
 
 
 def check_shift_support(wf: WaveFunction, shift) -> None:
@@ -409,7 +419,15 @@ def check_shift_support(wf: WaveFunction, shift) -> None:
     half-width, and wf's boundary mass within the maps' limit of 1e-8."""
     if np.max(np.abs(shift)) > 0.5 * wf.grid.half_width:
         raise GridSupportError("shift exceeds grid support", 1.0)
-    _support_check(wf, "shift")
+    _support_check(wf.boundary_mass(), "shift would move support across the grid edge")
+
+
+def check_momentum_support(wf: WaveFunction) -> None:
+    """Raise GridSupportError unless the grid resolves `wf`'s momenta:
+    its momentum boundary mass stays within the maps' limit of 1e-8."""
+    _support_check(
+        wf.momentum_boundary_mass(), "momentum support reaches the grid's wavenumber edge"
+    )
 
 
 def unitary_rotation(phi: WaveFunction, t: float, rate: float) -> WaveFunction:
@@ -421,7 +439,7 @@ def unitary_rotation(phi: WaveFunction, t: float, rate: float) -> WaveFunction:
     """
     if phi.grid.dims != 2:
         raise ValueError("frame rotation needs a 2D grid")
-    _support_check(phi, "rotation")
+    _support_check(phi.boundary_mass(), "rotation would move support across the grid edge")
     return replace(phi, values=spectral_rotate(phi.values, phi.grid, float(rate) * t))
 
 

@@ -148,20 +148,32 @@ def frame_conjugation_defect(field: RotatingField, t: float) -> float:
 
 
 def h4_evaluator(field: RotatingField) -> Callable:
-    """Vectorized energy of a charge in the rotating field:
-    |p - (m/2) W(t) x|^2 / 2m - q <x, E0(t)>, with W the cyclotron-scaled
-    generator.  Broadcasts over leading axes of z."""
+    """Energy of a charge in the rotating field,
+    |p - (m/2) W(t) x|^2 / 2m - q <x, E0(t)> with W the cyclotron-scaled
+    generator, in the oracle's protocol: `h4_evaluator(field)(t)` computes
+    W(t) and E0(t) once, as Python floats, and returns `energy(z)` on a
+    component-major state (six components, Python floats or arrays of one
+    shape)."""
     m, q = field.mass, field.charge
+    two_mass = 2.0 * m
 
-    def evaluate(z, t):
-        w = rotating_field_generator(field, float(t))
-        x = z[..., 0::2]
-        p = z[..., 1::2]
-        v = p - 0.5 * m * (x @ w.T)
-        kinetic = np.sum(v * v, axis=-1) / (2.0 * m)
-        return kinetic - q * (x @ field.e0(float(t)))
+    def hamiltonian(t):
+        w = rotating_field_generator(field, t)
+        # (m/2) W x = a cross x, with a = (m/2) times W's axial vector
+        a1, a2, a3 = (0.5 * m * w[(2, 0, 1), (1, 2, 0)]).tolist()
+        qe1, qe2, qe3 = (q * field.e0(t)).tolist()
 
-    return evaluate
+        def energy(z):
+            x1, p1, x2, p2, x3, p3 = z
+            v1 = p1 - (a2 * x3 - a3 * x2)
+            v2 = p2 - (a3 * x1 - a1 * x3)
+            v3 = p3 - (a1 * x2 - a2 * x1)
+            kinetic = (v1 * v1 + v2 * v2 + v3 * v3) / two_mass
+            return kinetic - (x1 * qe1 + x2 * qe2 + x3 * qe3)
+
+        return energy
+
+    return hamiltonian
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,39 @@ from fieldosc.classical import (
 QUAD = 2000.0
 
 
-def _runaway(z, t):
-    return z[..., 0] ** 2 * z[..., 1]  # dq/dt = q^2
+def _runaway(t):
+    def energy(z):
+        q, p = z[0], z[1]
+        return q * q * p  # dq/dt = q^2
+
+    return energy
+
+
+def _duffing(t):
+    """A driven Duffing oscillator in the first (Q, P) pair.  q^4 is two
+    products, not q**4: numpy's vectorised power and the C library's pow,
+    which a Python float takes, may round it differently."""
+    force = math.cos(t)
+
+    def energy(z):
+        q, p = z[0], z[1]
+        q2 = q * q
+        return 0.5 * p * p + 0.5 * q2 + 0.25 * q2 * q2 - q * force
+
+    return energy
+
+
+def _zero_coupling(t):
+    """H = -x3 * p1: from an all -0.0 state the path stays at zero, and
+    the signs of its zeros depend on how the plus and the minus rows each
+    sign the zeros they do not displace."""
+    return lambda z: -(z[4] * z[1])
+
+
+def _sides_form(hamiltonian):
+    """`hamiltonian(t) -> energy(z)` as the reference's `(sides, time)`
+    call on interleaved states."""
+    return lambda sides, time: hamiltonian(time)(np.moveaxis(sides, -1, 0))
 
 
 def _reference_rk4_path(hamiltonian, z0, t, dt, fd_step=1e-5):
@@ -518,16 +549,13 @@ class TestRK4Oracle:
         ]
         h3 = h2_evaluator(OscParams(1.3, 0.9), Drive.zero())
 
-        def duffing(z, t):
-            q, p = z[..., 0], z[..., 1]
-            return 0.5 * p * p + 0.5 * q * q + 0.25 * q**4 - q * np.cos(t)
-
         # the CLI's case: one charge-1 field, no batch axis
         single = StaticField(b3=2.3, e=(0.05, -0.12, 0.08), mass=0.9)
         cases = (
             (h1_evaluator(fields), _reference_h1(fields), rng.uniform(-0.5, 0.5, (3, 6))),
-            (h3, h3, rng.normal(size=(2, 3, 6))),
-            (duffing, duffing, np.array([0.4, -0.0, 0.0, 0.0, 0.0, 0.0])),
+            (h3, _sides_form(h3), rng.normal(size=(2, 3, 6))),
+            (_duffing, _sides_form(_duffing), np.array([0.4, -0.0, 0.0, 0.0, 0.0, 0.0])),
+            (_zero_coupling, _sides_form(_zero_coupling), np.full(6, -0.0)),
             (
                 h1_evaluator(single),
                 lambda z, t: _reference_eval_h1(single, z),
@@ -547,8 +575,44 @@ class TestRK4Oracle:
             with pytest.raises(FlowBlowupError) as fired:
                 rk4_hamiltonian_flow(_runaway, runaway_z0, 5.0, 1e-2)
             with pytest.raises(FlowBlowupError) as expected:
-                _reference_rk4_path(_runaway, runaway_z0, 5.0, 1e-2)
+                _reference_rk4_path(_sides_form(_runaway), runaway_z0, 5.0, 1e-2)
         assert fired.value.time == expected.value.time
+
+    @pytest.mark.parametrize("case", ["h1", "h2-sinusoid", "duffing", "signed-zeros"])
+    def test_one_state_matches_batch_of_one(self, case):
+        # one state takes the Python-float gradient, a batch the stacked
+        # array one: the same path in every bit, the signs of zeros included
+        field = StaticField(b3=-3.7, e=(0.2, -0.0, 0.11), charge=1.4, mass=0.7)
+        drive = Drive.sinusoids(
+            [(1.7, (0.3, -0.2, 0.1), (0.05, 0.0, -0.4)), (0.0, (0.0, 0.1, -0.0), (0.0, 0.0, 0.0))]
+        )
+        hamiltonian, z0 = {
+            "h1": (h1_evaluator(field), np.array([0.3, -0.0, 0.15, 0.4, -0.1, 0.25])),
+            "h2-sinusoid": (
+                h2_evaluator(OscParams(1.2, 0.8), drive),
+                np.array([-0.2, 0.5, -0.0, 0.1, 0.3, -0.0]),
+            ),
+            "duffing": (_duffing, np.array([0.4, -0.0, 0.0, -0.0, -0.0, 0.0])),
+            "signed-zeros": (_zero_coupling, np.full(6, -0.0)),
+        }[case]
+        times, one = rk4_hamiltonian_flow(hamiltonian, z0, 0.5, 1e-3)
+        batch_times, batch = rk4_hamiltonian_flow(hamiltonian, z0[None], 0.5, 1e-3)
+        assert one.shape == (501, 6)
+        assert np.array_equal(times, batch_times)
+        assert np.array_equal(one, batch[:, 0])
+        assert np.array_equal(np.signbit(one), np.signbit(batch[:, 0]))
+        if case in ("duffing", "signed-zeros"):
+            # components that stay zero, some of them -0.0
+            assert (np.signbit(one) & (one == 0.0)).any()
+
+    def test_one_state_blowup_matches_batch(self):
+        z0 = np.array([1.0, 0, 0, 0, 0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FlowBlowupError) as one:
+                rk4_hamiltonian_flow(_runaway, z0, 5.0, 1e-2)
+            with pytest.raises(FlowBlowupError) as batch:
+                rk4_hamiltonian_flow(_runaway, z0[None], 5.0, 1e-2)
+        assert one.value.time == batch.value.time
 
 
 class TestEndToEndEquivalence:
@@ -639,7 +703,7 @@ def _state_takers() -> dict:
         # a Hamiltonian that takes any number of components, so the oracle's
         # own check is what rejects the state
         "rk4_hamiltonian_flow": lambda z: rk4_hamiltonian_flow(
-            lambda y, t: 0.5 * np.sum(y * y, axis=-1), z, 0.3, 0.1
+            lambda t: lambda y: 0.5 * sum(c * c for c in y), z, 0.3, 0.1
         ),
     }
     maps = {

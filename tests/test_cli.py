@@ -420,6 +420,21 @@ class TestMain:
         assert main(["run", str(path), "--check-only"]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_unresolved_momenta_are_a_grid_error(self, tmp_path, capsys):
+        # the same field on the default 16-wide grid: the packet's momentum
+        # spread (about omega * width = 180) outgrows k_max = pi/dx = 12.6,
+        # which used to show as a rotating-frame-link defect of 0.99
+        path = write(
+            tmp_path,
+            "coarse.cfg",
+            "mode = quantum-pipeline\nb3 = 1200\ngrid_n = 64\ntime = 0.01\n"
+            "center = 0, 0\nmomentum = 0, 0\nwidth = 0.3\n",
+        )
+        assert main(["run", str(path), "--check-only"]) == 3
+        out = capsys.readouterr().out
+        assert "[FAIL] coarse: error (GridSupportError: momentum support" in out
+        assert "rotating-frame-link" not in out
+
     def test_flow_blowup_is_one_error_line_without_warnings(self, tmp_path):
         # the kinetic term overflows in the first step: the oracle's
         # finiteness check reports it, and numpy prints nothing

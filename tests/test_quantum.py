@@ -16,6 +16,7 @@ from fieldosc.quantum import (
     GridSupportError,
     WaveFunction,
     apply_hamiltonian,
+    check_momentum_support,
     check_shift_support,
     driven_hamiltonian,
     energy_expectation,
@@ -301,6 +302,18 @@ class TestUnitaryMovingOrigin:
         wide = gaussian_wavepacket(grid, (0.0, 0.0), (0.0, 0.0), 2.0)
         with pytest.raises(GridSupportError, match="boundary mass"):
             check_shift_support(wide, (0.0, 0.0))
+
+    def test_check_momentum_support_limits(self):
+        # k_max = pi/dx = 8.4 on this grid; a packet of width 0.5 has a
+        # momentum spread of 1
+        grid = Grid(dims=2, n=32, half_width=6.0)
+        check_momentum_support(gaussian_wavepacket(grid, (0.0, 0.0), (0.0, 0.0), 0.5))
+        for momentum in ((0.0, 4.0), (-4.0, 0.0)):
+            moving = gaussian_wavepacket(grid, (0.0, 0.0), momentum, 0.5)
+            assert moving.boundary_mass() <= 1e-8  # its positions are held
+            with pytest.raises(GridSupportError, match="^momentum support") as raised:
+                check_momentum_support(moving)
+            assert raised.value.boundary_mass == moving.momentum_boundary_mass() > 1e-3
 
 
 class TestSplitStep:
