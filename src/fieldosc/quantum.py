@@ -158,12 +158,14 @@ class WaveFunction:
 
 
 def _frame_share(dens: np.ndarray) -> float:
-    """Share of the total of `dens` in its outermost frame, 4 cells wide."""
+    """Share of the total of `dens` in its outermost frame, 4 cells wide,
+    summed over the frame's cells (total minus core could round below 0)."""
     total = float(np.sum(dens))
     if total == 0.0:
         return 0.0
-    core = dens[(slice(_BOUNDARY_CELLS, -_BOUNDARY_CELLS),) * dens.ndim]
-    return float((total - np.sum(core)) / total)
+    frame = np.ones(dens.shape, dtype=bool)
+    frame[(slice(_BOUNDARY_CELLS, -_BOUNDARY_CELLS),) * dens.ndim] = False
+    return float(np.sum(dens[frame]) / total)
 
 
 @dataclass(frozen=True)

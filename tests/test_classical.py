@@ -556,6 +556,7 @@ class TestRK4Oracle:
             (h3, _sides_form(h3), rng.normal(size=(2, 3, 6))),
             (_duffing, _sides_form(_duffing), np.array([0.4, -0.0, 0.0, 0.0, 0.0, 0.0])),
             (_zero_coupling, _sides_form(_zero_coupling), np.full(6, -0.0)),
+            (_zero_coupling, _sides_form(_zero_coupling), np.full((2, 3, 6), -0.0)),
             (
                 h1_evaluator(single),
                 lambda z, t: _reference_eval_h1(single, z),

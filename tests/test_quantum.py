@@ -315,6 +315,33 @@ class TestUnitaryMovingOrigin:
                 check_momentum_support(moving)
             assert raised.value.boundary_mass == moving.momentum_boundary_mass() > 1e-3
 
+    @pytest.mark.parametrize(
+        "grid, center, momentum, width",
+        [
+            (Grid(2, 128, 8.0), (0.5, -0.3), (0.3, 0.1), 0.8),  # quantum_demo's packet
+            (Grid(2, 32, 6.0), (0.0, 0.0), (0.0, 4.0), 0.5),
+            (Grid(2, 256, 8.0), (0.4, -0.1), (0.2, 0.0), 0.9),
+            (Grid(1, 64, 6.0), (0.3,), (0.1,), 0.7),
+        ],
+        ids=["demo-packet", "momentum-edge", "n256", "one-dim"],
+    )
+    def test_boundary_masses_are_frame_sums(self, grid, center, momentum, width):
+        # total minus the core's sum used to round to -2.2e-16 for the
+        # first packet; a mass is a sum over the frame's cells
+        psi = gaussian_wavepacket(grid, center, momentum, width)
+        densities = (
+            (psi.boundary_mass(), np.abs(psi.values) ** 2),
+            (
+                psi.momentum_boundary_mass(),
+                np.fft.fftshift(np.abs(np.fft.fftn(psi.values)) ** 2),
+            ),
+        )
+        for mass, dens in densities:
+            frame = dens.copy()
+            frame[(slice(4, -4),) * grid.dims] = 0.0
+            assert mass >= 0.0
+            assert mass == pytest.approx(np.sum(frame) / np.sum(dens), rel=1e-12, abs=0.0)
+
 
 class TestSplitStep:
     def test_free_gaussian_dispersion(self):
