@@ -449,13 +449,12 @@ def solve_driven(
 # ----------------------------------------------------------------------
 
 
-def _one_state_velocity(state: np.ndarray, energy: Callable) -> np.ndarray:
-    """Sigma grad H at one state, shape (6,), with the energy and the
-    central differences in Python floats.  The arithmetic is the batch
-    path's, bit for bit: a plus row adds +0.0 to every component it does
-    not displace (so a -0.0 there becomes +0.0) and a minus row leaves
+def _one_state_velocity(s: list, energy: Callable) -> list:
+    """Sigma grad H at one state, a list of six Python floats, with the
+    energy and the central differences in floats.  The arithmetic is the
+    batch path's, bit for bit: a plus row adds +0.0 to every component it
+    does not displace (so a -0.0 there becomes +0.0) and a minus row leaves
     them as they are, as state + step * (+-eye) does."""
-    s = state.tolist()
     scale = _FD_STEP * (1.0 + max(map(abs, s)))
     plus = [c + 0.0 for c in s]
     out = []
@@ -464,7 +463,31 @@ def _one_state_velocity(state: np.ndarray, energy: Callable) -> np.ndarray:
         up[c ^ 1] = s[c ^ 1] + scale
         down[c ^ 1] = s[c ^ 1] - scale
         out.append((energy(up) - energy(down)) / (scale * sign))
-    return np.array(out)
+    return out
+
+
+def _one_state_flow(hamiltonian: Callable, path: np.ndarray, h: float) -> None:
+    """RK4 steps of one state from path[0] into path[1:]: the state stays a
+    list of six Python floats through every stage and is written into its
+    row of path after each step.  The stage times and the update are
+    `core.rk4_steps`', rounded in its order, so the bits are a batch of
+    one's."""
+    y = path[0].tolist()
+    half_h, sixth_h = 0.5 * h, h / 6.0
+    for i in range(len(path) - 1):
+        start = i * h
+        k1 = _one_state_velocity(y, hamiltonian(start))
+        mid = hamiltonian(start + half_h)
+        k2 = _one_state_velocity([a + half_h * b for a, b in zip(y, k1)], mid)
+        k3 = _one_state_velocity([a + half_h * b for a, b in zip(y, k2)], mid)
+        k4 = _one_state_velocity([a + h * b for a, b in zip(y, k3)], hamiltonian(start + h))
+        y = [
+            a + (((b1 + 2.0 * b2) + 2.0 * b3) + b4) * sixth_h
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+        ]
+        if not all(map(math.isfinite, y)):
+            raise FlowBlowupError((i + 1) * h)
+        path[i + 1] = y
 
 
 def _batch_velocity(batch: tuple) -> Callable:
@@ -509,13 +532,16 @@ def rk4_hamiltonian_flow(
     ``x1, p1, x2, p2, x3, p3 = z``.  Row r < 6 of a gradient displaces
     component r ^ 1 (the other half of its (Q, P) pair) by +step and row
     6 + r displaces it by -step, so the differences come out in the order
-    of Sigma grad H.  For one state, z is a list of six Python floats and
-    `energy` is called once per row, with no numpy call; for a batch, z is
-    a list of six contiguous (12,) + batch arrays, the components of one
-    (6, 12) + batch buffer, and `energy` is called once per stage.  Both
-    give the same bits when `energy` uses only + - * /: numpy's vectorised
-    power and transcendental functions may round otherwise than the C
-    library's, which a Python float takes.
+    of Sigma grad H.  For one state, z is a list of six Python floats,
+    `energy` is called once per row, and the whole step runs in floats
+    with no numpy call; for a batch, z is a list of six contiguous
+    (12,) + batch arrays, the components of one (6, 12) + batch buffer,
+    `energy` is called once per stage, and the steps run on
+    `core.rk4_steps`.  Both loops take the stage times i*h + [0, h/2, h]
+    and round the update in one order, so they give the same bits when
+    `energy` uses only + - * /: numpy's vectorised power and
+    transcendental functions may round otherwise than the C library's,
+    which a Python float takes.
 
     Returns (times, path): the steps+1 times from 0 to t, and the states
     there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H
@@ -526,20 +552,23 @@ def rk4_hamiltonian_flow(
     """
     steps, h = _fixed_steps(t, dt)
     z = _as_state(z0)
-    # The state is carried component-major, shape (6,) + batch, so that
-    # every ufunc of a step runs on contiguous operands of one shape.
+    path = np.empty((steps + 1,) + z.shape)
+    path[0] = z
+    # both loops stay: one state is fastest in Python floats, and ten
+    # fields step in about 100 us as one batch and in 450-500 us as ten
+    # one-state flows
     batch = z.shape[:-1]
-    to_state = tuple(range(1, len(batch) + 1)) + (0,)
-    # both paths stay: ten fields step in about 100 us as one batch and in
-    # 450-500 us as ten one-state flows, and one state is fastest in floats
-    velocity = _batch_velocity(batch) if batch else _one_state_velocity
+    if not batch:
+        _one_state_flow(hamiltonian, path, h)
+        return np.linspace(0.0, t, steps + 1), path
 
     def stage_values(times):
         return [[hamiltonian(time) for time in row] for row in times.tolist()]
 
-    path = np.empty((steps + 1,) + z.shape)
-    path[0] = z
-    flow = rk4_steps(velocity, stage_values, np.moveaxis(z, -1, 0), h, steps)
+    # The batch is carried component-major, shape (6,) + batch, so that
+    # every ufunc of a step runs on contiguous operands of one shape.
+    to_state = tuple(range(1, len(batch) + 1)) + (0,)
+    flow = rk4_steps(_batch_velocity(batch), stage_values, np.moveaxis(z, -1, 0), h, steps)
     # overflow inside a step leaves a non-finite state: the check below
     # reports it, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):

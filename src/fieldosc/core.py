@@ -242,6 +242,11 @@ def rk4_steps(
     place by y += (h/6) * (((k1 + 2 k2) + 2 k3) + k4), rounded in that
     order, so a caller that keeps a step must copy it.  `rhs` must return
     a fresh array of y's shape, which the update overwrites.
+
+    The finite-difference oracle steps one state in a float loop of its
+    own (`classical._one_state_flow`) that repeats these stage times and
+    this update, rounded in the same order: a change here must be made
+    there too.
     """
     y = np.array(y0, dtype=float, order="C")
     half_h = 0.5 * h

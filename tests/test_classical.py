@@ -12,6 +12,7 @@ from fieldosc.tdfields import (
     accumulated_rotation,
     coriolis_elimination,
     corotating_reduction,
+    h4_evaluator,
 )
 from fieldosc.core import OscParams, block_propagate_path, block_propagator, rotation_about_z
 from fieldosc.classical import (
@@ -579,7 +580,7 @@ class TestRK4Oracle:
                 _reference_rk4_path(_sides_form(_runaway), runaway_z0, 5.0, 1e-2)
         assert fired.value.time == expected.value.time
 
-    @pytest.mark.parametrize("case", ["h1", "h2-sinusoid", "duffing", "signed-zeros"])
+    @pytest.mark.parametrize("case", ["h1", "h2-sinusoid", "h4", "duffing", "signed-zeros"])
     def test_one_state_matches_batch_of_one(self, case):
         # one state takes the Python-float gradient, a batch the stacked
         # array one: the same path in every bit, the signs of zeros included
@@ -587,12 +588,21 @@ class TestRK4Oracle:
         drive = Drive.sinusoids(
             [(1.7, (0.3, -0.2, 0.1), (0.05, 0.0, -0.4)), (0.0, (0.0, 0.1, -0.0), (0.0, 0.0, 0.0))]
         )
+        rotating = RotatingField(
+            b1=0.6,
+            b3=-1.9,
+            alpha=1.3,
+            e0=Drive.sinusoids([(0.8, (-0.0, 0.25, -0.1), (0.15, -0.0, -0.0))]),
+            charge=-1.3,
+            mass=0.6,
+        )
         hamiltonian, z0 = {
             "h1": (h1_evaluator(field), np.array([0.3, -0.0, 0.15, 0.4, -0.1, 0.25])),
             "h2-sinusoid": (
                 h2_evaluator(OscParams(1.2, 0.8), drive),
                 np.array([-0.2, 0.5, -0.0, 0.1, 0.3, -0.0]),
             ),
+            "h4": (h4_evaluator(rotating), np.array([0.1, -0.0, -0.3, 0.2, -0.0, 0.4])),
             "duffing": (_duffing, np.array([0.4, -0.0, 0.0, -0.0, -0.0, 0.0])),
             "signed-zeros": (_zero_coupling, np.full(6, -0.0)),
         }[case]
@@ -605,6 +615,23 @@ class TestRK4Oracle:
         if case in ("duffing", "signed-zeros"):
             # components that stay zero, some of them -0.0
             assert (np.signbit(one) & (one == 0.0)).any()
+
+    def test_oracle_stage_times(self):
+        # 97 steps cross the batch loop's 32-step block boundaries; the
+        # one-state loop makes its stage times itself
+        steps = 97
+        h = 0.97 / steps
+        z0 = np.array([0.4, -0.1, 0.0, 0.0, 0.0, 0.0])
+        one, batch = [], []
+        for z, seen in ((z0, one), (z0[None], batch)):
+            times, _ = rk4_hamiltonian_flow(
+                lambda t: seen.append(t) or _duffing(t), z, 0.97, 1e-2
+            )
+            assert times.size == steps + 1
+        expected = sorted(i * h + offset for i in range(steps) for offset in (0.0, h / 2, h))
+        assert len(one) == len(batch) == 3 * steps
+        assert all(type(t) is float for t in one + batch)
+        assert sorted(one) == sorted(batch) == expected
 
     def test_one_state_blowup_matches_batch(self):
         z0 = np.array([1.0, 0, 0, 0, 0, 0])
