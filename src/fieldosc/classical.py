@@ -38,6 +38,7 @@ from .core import (
     _as_times,
     _check_mass,
     _fixed_steps,
+    _pair_groups,
     _sin_over_mw,
     block_propagate_path,
     cumulative_simpson,
@@ -275,32 +276,24 @@ def h2_evaluator(params: OscParams, drive: Drive) -> Callable:
 
 def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.ndarray:
     """Forced response at every grid time: Z_nh(t) = U(t) * int_0^t U(-s) K(s) ds
-    evaluated with a cumulative Simpson rule on the uniform grid."""
-    m, w = params.mass, params.omega
+    evaluated with a cumulative Simpson rule on the uniform grid; the axial
+    pair's kernel is the oscillator's at omega = 0 (`_pair_groups`)."""
     n = times.size - 1
     if n < 2 or n % 2:
         raise ValueError("forced path needs an even panel count >= 2")
     dt = times[1] - times[0]
     k = drive(times)  # (N+1, 3)
-    c, s = np.cos(w * times), np.sin(w * times)
-    upper = _sin_over_mw(params, times, s)
-    out = np.zeros((times.size, 6))
-    for axis in range(3):
-        kx = k[:, axis]
-        if axis < 2:
-            v_q = _sin_over_mw(params, times, s, -kx)
-            v_p = c * kx
-            c1 = cumulative_simpson(v_q, dt)
-            c2 = cumulative_simpson(v_p, dt)
+    out = np.empty((times.size, 6))
+    for pairs, group in _pair_groups(params):
+        m, w = group.mass, group.omega
+        c, s = np.cos(w * times), np.sin(w * times)
+        upper = _sin_over_mw(group, times, s)
+        for axis in pairs:
+            kx = k[:, axis]
+            c1 = cumulative_simpson(_sin_over_mw(group, times, s, -kx), dt)
+            c2 = cumulative_simpson(c * kx, dt)
             out[:, 2 * axis] = c * c1 + upper * c2
             out[:, 2 * axis + 1] = -m * w * s * c1 + c * c2
-        else:
-            # the axial axis has no omega: free kernel (t - s)/m for the
-            # position row
-            c1 = cumulative_simpson(-times * kx / m, dt)
-            c2 = cumulative_simpson(kx, dt)
-            out[:, 2 * axis] = c1 + times * c2 / m
-            out[:, 2 * axis + 1] = c2
     return out
 
 

@@ -154,6 +154,11 @@ def _non_negative(value):
         raise ValueError("must be non-negative")
 
 
+def _file_name(value):
+    if value in (".", "..") or Path(value).name != value:
+        raise ValueError("must be a file name, without a path separator and not '.' or '..'")
+
+
 def _planar_field(value):
     if value[2] != 0.0:
         raise ValueError("axial electric field is not supported on the planar grid")
@@ -163,7 +168,7 @@ def _planar_field(value):
 _REQUIRED = object()
 
 _COMMON_SCHEMA = {
-    "name": (str, None, None),
+    "name": (str, None, _file_name),
     "seed": (int, 0, _non_negative),
 }
 

@@ -161,31 +161,33 @@ def _sin_over_mw(params: OscParams, t, s, factor=1.0):
     return np.where(small, limit, s * factor / (m * w))
 
 
+def _pair_groups(params: OscParams):
+    """(pairs, params) groups: the planar pairs 0 and 1 oscillate at omega,
+    the axial pair 2 is the oscillator at omega = 0, the free particle."""
+    return (((0, 1), params), ((2,), OscParams(params.mass, 0.0)))
+
+
 def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
     """Homogeneous orbit U(t) z0 at many times; z0 may be batched (..., 6).
 
     U(t) has the oscillator block [[cos wt, sin(wt)/(m w)], [-m w sin wt,
-    cos wt]] on each planar pair and the free block [[1, t/m], [0, 1]] on
-    the axial one.  The planar formula is one for every omega >= 0: at
-    omega = 0, and at subnormal omega, `_sin_over_mw` gives the upper entry
-    its limit t/m, so the planar blocks are the free block there.  Returns
-    shape (len(times), ..., 6).
+    cos wt]] on every pair, at w = 0 on the axial one (`_pair_groups`).
+    The formula is one for every w >= 0: at w = 0 and at subnormal w,
+    `_sin_over_mw` takes the upper entry to its limit t/m, which gives the
+    free block [[1, t/m], [0, 1]].  Returns shape (len(times), ..., 6).
     """
     z0 = _as_state(z0)
     times = np.atleast_1d(_as_times(times))
-    m, w = params.mass, params.omega
     out = np.empty(times.shape + z0.shape)
     pad = (...,) + (None,) * (z0.ndim - 1)
-    s = np.sin(w * times)
-    upper = _sin_over_mw(params, times, s)[pad]
-    c, s = np.cos(w * times)[pad], s[pad]
-    for axis in (0, 1):
-        q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
-        out[..., 2 * axis] = c * q + upper * p
-        out[..., 2 * axis + 1] = -m * w * s * q + c * p
-    tgrid = times[pad]
-    out[..., 4] = z0[..., 4] + tgrid * z0[..., 5] / m
-    out[..., 5] = np.broadcast_to(z0[..., 5], out[..., 0].shape)
+    for pairs, group in _pair_groups(params):
+        m, w = group.mass, group.omega
+        c, s = np.cos(w * times)[pad], np.sin(w * times)
+        upper, s = _sin_over_mw(group, times, s)[pad], s[pad]
+        for axis in pairs:
+            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
+            out[..., 2 * axis] = c * q + upper * p
+            out[..., 2 * axis + 1] = -m * w * s * q + c * p
     return out
 
 
@@ -198,11 +200,15 @@ def block_propagator(params: OscParams, t: float) -> np.ndarray:
 
 def energy_form_6x6(params: OscParams) -> np.ndarray:
     """Quadratic form H with 2*energy = <z, H z>: diag(m w^2, 1/m) on each
-    planar pair, diag(0, 1/m) on the axial one.  The propagator conjugates
-    it to itself, U(t)^T H U(t) = H, which is the invariance behind the
-    conserved homogeneous-orbit energy."""
-    m, w = params.mass, params.omega
-    return np.diag([m * w * w, 1.0 / m, m * w * w, 1.0 / m, 0.0, 1.0 / m])
+    pair, which is diag(0, 1/m) on the axial one (`_pair_groups`).  The
+    propagator conjugates it to itself, U(t)^T H U(t) = H, which is the
+    invariance behind the conserved homogeneous-orbit energy."""
+    diagonal = np.empty(6)
+    for pairs, group in _pair_groups(params):
+        m, w = group.mass, group.omega
+        for axis in pairs:
+            diagonal[2 * axis : 2 * axis + 2] = m * w * w, 1.0 / m
+    return np.diag(diagonal)
 
 
 def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:

@@ -262,19 +262,11 @@ def coriolis_elimination(
 
     period = 2.0 * math.pi / speed if speed > 0 else math.inf
     system = VectorHillSystem(omega_sq_matrix=omega_sq_matrix, period=period)
-
-    def forward(t, z):
-        return _apply_linear_pairs(z, group(t))
-
-    def inverse(t, z):
-        return _apply_linear_pairs(z, group(t).T)
-
-    cmap = CanonicalMap(
-        forward=forward,
-        inverse=inverse,
+    return system, CanonicalMap(
+        forward=lambda t, z: _apply_linear_pairs(z, group(t)),
+        inverse=lambda t, z: _apply_linear_pairs(z, group(t).T),
         phase_A=lambda t: 0.0,
     )
-    return system, cmap
 
 
 # ----------------------------------------------------------------------

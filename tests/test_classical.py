@@ -494,6 +494,43 @@ class TestSubnormalFrequency:
         assert np.array_equal(forced_path(zero, drive, times), forced_path(tiny, drive, times))
 
 
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestAxialPair:
+    # the axial (Q3, P3) pair is a planar pair at omega = 0: moved into the
+    # (Q1, P1) slot and run at OscParams(m, 0.0), it has the same bits,
+    # the sign of every zero included
+    @pytest.mark.parametrize("omega", [0.4, 1.0, 2.7])
+    @pytest.mark.parametrize("mass", [1.0, 1.3, 0.7])
+    def test_block_propagate_path(self, mass, omega):
+        rng = np.random.default_rng(17)
+        z = rng.normal(size=(40, 6))
+        z[:4, 4:6] = [[-0.0, -0.0], [0.0, -0.0], [-0.5, -0.0], [0.5, 0.0]]
+        moved = np.zeros_like(z)
+        moved[:, 0:2] = z[:, 4:6]
+        times = np.linspace(0.0, 3.0, 17)
+        axial = block_propagate_path(OscParams(mass, omega), z, times)[..., 4:6]
+        planar = block_propagate_path(OscParams(mass, 0.0), moved, times)[..., 0:2]
+        assert_same_bits(axial, planar)
+
+    @pytest.mark.parametrize("omega", [0.4, 1.0, 2.7])
+    @pytest.mark.parametrize("mass", [1.0, 1.3, 0.7])
+    def test_forced_path(self, mass, omega):
+        terms = [
+            (0.9, (0.3, -0.2, 0.7), (0.05, 0.1, -0.4)),
+            (0.0, (0.0, 0.0, -0.3), (0.0, 0.0, 0.0)),
+            (2.2, (0.1, 0.0, 0.25), (0.0, 0.4, 0.6)),
+        ]
+        moved = [(w, (ca[2], 0.0, 0.0), (sa[2], 0.0, 0.0)) for w, ca, sa in terms]
+        times = np.linspace(0.0, 2.5, 65)
+        axial = forced_path(OscParams(mass, omega), Drive.sinusoids(terms), times)[:, 4:6]
+        planar = forced_path(OscParams(mass, 0.0), Drive.sinusoids(moved), times)[:, 0:2]
+        assert_same_bits(axial, planar)
+
+
 class TestRK4Oracle:
     def test_free_particle_exact(self):
         params = OscParams(1.0, 0.0)
@@ -794,3 +831,8 @@ def test_frame_rate_must_be_finite(rate):
     # frame_rotation(nan).forward(1.0, ones) used to give [nan nan nan nan 1 1]
     with pytest.raises(ValueError, match="rate"):
         frame_rotation(rate)
+
+
+def test_forced_path_needs_an_even_panel_count():
+    with pytest.raises(ValueError, match="even panel count"):
+        forced_path(OscParams(), Drive.zero(), np.linspace(0.0, 1.0, 4))

@@ -25,7 +25,7 @@ from fieldosc.core import cross_matrix, rk4_steps
 from fieldosc.quantum import Grid, gaussian_wavepacket
 from fieldosc.tdfields import FixedAxisField, accumulated_rotation
 
-from test_tdfields import integrate_rotation_ode
+from test_tdfields import rotation_ode_reference_loop
 
 
 def write(tmp_path: Path, name: str, text: str) -> Path:
@@ -139,6 +139,36 @@ class TestParsing:
         err = capsys.readouterr().err
         assert re.search(rf"bad\.cfg:\d+: key '{key}'", err), err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "{path}: no such scenario file"),
+            ("mode = case2\nsamples\n", "{path}:2: expected 'key = value'"),
+            ("# no mode\nsamples = 4\n", "{path}: missing required key 'mode'"),
+        ],
+        ids=["missing-file", "no-equals", "no-mode"],
+    )
+    def test_file_diagnostics(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.cfg" if text is None else write(tmp_path, "bad.cfg", text)
+        assert main(["run", str(path), "--check-only"]) == 2
+        assert f"error: {message.format(path=path)}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../escaped", "sub/dir", ".", ".."])
+    def test_name_is_one_file_name(self, tmp_path, capsys, name):
+        # the name becomes the artifact's file name, so a path would write
+        # outside the output directory
+        work = tmp_path / "work"
+        out = work / "out"
+        out.mkdir(parents=True)
+        path = write(tmp_path, "bad.cfg", f"name = {name}\nmode = case2\nsamples = 4\n")
+        assert main(["run", str(path), "--out-dir", str(out)]) == 2
+        assert f"{path}:1: key 'name': must be a file name" in capsys.readouterr().err
+        assert list(work.rglob("*")) == [out]
+
+    def test_empty_name_is_the_file_stem(self, tmp_path):
+        path = write(tmp_path, "stem.cfg", "name =\nmode = case2\n")
+        assert parse_scenario(path).name == "stem"
+
 
 class TestRunners:
     def test_classical_checks_pass(self, tmp_path):
@@ -169,7 +199,7 @@ class TestRunners:
         report = run(parse_scenario(path))
         defect = {c.name: c.defect for c in report.checks}["closed-form-vs-ode"]
         field = FixedAxisField(b3=lambda t: 1.0 + 0.5 * np.cos(1.0 * np.asarray(t, dtype=float)))
-        ode = integrate_rotation_ode(field, 2.0, 3000)
+        ode = rotation_ode_reference_loop(field, 2.0, 3000)
         assert defect == float(np.max(np.abs(accumulated_rotation(field, 2.0) - ode)))
         # the defect is a multiple of ulp(1), so also compare the RK4 matrix
         # of case1's right-hand side run through rk4_steps

@@ -730,3 +730,61 @@ class TestGridValidation:
     def test_grid_hamiltonian_inputs_checked(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             GridHamiltonian(**kwargs)
+
+
+_LINE = Grid(dims=1, n=16, half_width=2.0)
+_LINE_WF = WaveFunction(grid=_LINE, values=np.ones(16, dtype=complex))
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: Grid(dims=3, n=16, half_width=2.0), "dims must be 1 or 2"),
+            (
+                lambda: WaveFunction(grid=_LINE, values=np.array([1.0] * 15 + [np.inf], complex)),
+                "amplitudes must be finite",
+            ),
+            (lambda: hermite(-1, 0.5), "n must be >= 0"),
+            (lambda: hermite_shift_coefficients(-1, 0.5), "n must be >= 0"),
+            (lambda: rotated_product_coefficients(-1, 0, 0.3), "k1, k2 must be >= 0"),
+            (
+                lambda: oscillator_eigenfunction(0, OscParams(1.0, 0.0), 1.0, 0.0),
+                "eigenfunctions need omega > 0",
+            ),
+        ],
+        ids=["grid-dims-3", "inf-amplitude", "hermite", "shift", "rotated", "omega-0"],
+    )
+    def test_bad_input_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: spectral_rotate(_LINE_WF.values, _LINE, 0.3), "rotation needs a 2D grid"),
+            (
+                lambda: product_eigenstate(_LINE, EigenLabel(0, 0), OscParams()),
+                "product eigenstates need a 2D grid",
+            ),
+            (lambda: unitary_rotation(_LINE_WF, 1.0, 0.5), "frame rotation needs a 2D grid"),
+            (
+                lambda: split_step_evolve(
+                    _LINE_WF, GridHamiltonian(mass=1.0, rotation_rate=0.5), 0.1, 0.05
+                ),
+                "angular-momentum term needs a 2D grid",
+            ),
+            (
+                lambda: evolved_eigenstate(EigenLabel(0, 0), 0.5, StaticField(b3=2.0), _LINE),
+                "evolved eigenstates need a 2D grid",
+            ),
+        ],
+        ids=["spectral_rotate", "product_eigenstate", "unitary_rotation", "lz-term", "evolved"],
+    )
+    def test_two_dimensional_only(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    def test_zero_wavefunction_has_no_boundary_mass(self):
+        zero = WaveFunction(grid=_LINE, values=np.zeros(16, dtype=complex))
+        assert zero.boundary_mass() == 0.0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from fieldosc.core import OscParams, cross_matrix, rotation_about_z
+from fieldosc.core import OscParams, cross_matrix, rk4_steps, rotation_about_z
 from fieldosc.classical import (
     Drive,
     StaticField,
@@ -38,7 +38,21 @@ from fieldosc.tdfields import _monodromy_matrices
 
 
 def integrate_rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
-    """RK4 on dR/dt = W(t) R(t), the defining equation of the frame."""
+    """RK4 on dR/dt = W(t) R(t), the defining equation of the frame, run
+    through `rk4_steps`; `rotation_ode_reference_loop` has its bits."""
+    J = cross_matrix((0.0, 0.0, 1.0))
+
+    def generators(times):
+        return field.rate(times)[..., None, None] * J
+
+    for _, r in rk4_steps(lambda r, a: a @ r, generators, np.eye(3), t / steps, steps):
+        pass
+    return r
+
+
+def rotation_ode_reference_loop(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
+    """The same RK4 written out step by step, one generator matrix per
+    stage: the bit reference that `rk4_steps` is checked against."""
     h = t / steps
     starts = np.arange(steps) * h
     # the rate at every stage time of each kind: step start, midpoint, end
@@ -538,6 +552,11 @@ class TestMathieuStability:
         for edge in (lo, hi):
             trace = np.trace(monodromy_oracle(mathieu_hill(edge, q)))
             assert abs(abs(trace) - 2.0) <= 1e-6
+
+    def test_bisection_needs_a_sign_change(self):
+        # a = 0.3 and 0.5 both lie below the first tongue, where |trace| < 2
+        with pytest.raises(ValueError, match=r"no sign change in \[0.3, 0.5\]"):
+            bisect_stability_boundary(lambda a: mathieu_hill(a, 0.1), 0.3, 0.5, n_steps=256)
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_bisection_needs_positive_finite_tol(self, tol):
