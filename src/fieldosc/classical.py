@@ -459,30 +459,6 @@ def _one_state_velocity(s: list, energy: Callable) -> list:
     return out
 
 
-def _one_state_flow(hamiltonian: Callable, path: np.ndarray, h: float) -> None:
-    """RK4 steps of one state from path[0] into path[1:]: the state stays a
-    list of six Python floats through every stage and is written into its
-    row of path after each step.  The stage times and the update are
-    `core.rk4_steps`', rounded in its order, so the bits are a batch of
-    one's."""
-    y = path[0].tolist()
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    for i in range(len(path) - 1):
-        start = i * h
-        k1 = _one_state_velocity(y, hamiltonian(start))
-        mid = hamiltonian(start + half_h)
-        k2 = _one_state_velocity([a + half_h * b for a, b in zip(y, k1)], mid)
-        k3 = _one_state_velocity([a + half_h * b for a, b in zip(y, k2)], mid)
-        k4 = _one_state_velocity([a + h * b for a, b in zip(y, k3)], hamiltonian(start + h))
-        y = [
-            a + (((b1 + 2.0 * b2) + 2.0 * b3) + b4) * sixth_h
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-        ]
-        if not all(map(math.isfinite, y)):
-            raise FlowBlowupError((i + 1) * h)
-        path[i + 1] = y
-
-
 def _batch_velocity(batch: tuple) -> Callable:
     """Sigma grad H at a batch of states, component-major, shape (6,) +
     batch, from one energy call on 12 displaced states: row r < 6 moves
@@ -526,15 +502,13 @@ def rk4_hamiltonian_flow(
     component r ^ 1 (the other half of its (Q, P) pair) by +step and row
     6 + r displaces it by -step, so the differences come out in the order
     of Sigma grad H.  For one state, z is a list of six Python floats,
-    `energy` is called once per row, and the whole step runs in floats
-    with no numpy call; for a batch, z is a list of six contiguous
-    (12,) + batch arrays, the components of one (6, 12) + batch buffer,
-    `energy` is called once per stage, and the steps run on
-    `core.rk4_steps`.  Both loops take the stage times i*h + [0, h/2, h]
-    and round the update in one order, so they give the same bits when
-    `energy` uses only + - * /: numpy's vectorised power and
-    transcendental functions may round otherwise than the C library's,
-    which a Python float takes.
+    `energy` is called once per row, and the state steps as a list of
+    floats; for a batch, z is a list of six contiguous (12,) + batch
+    arrays, the components of one (6, 12) + batch buffer, and `energy`
+    is called once per stage.  Both run on `core.rk4_steps`, whose two
+    forms round alike, so they give the same bits when `energy` uses only
+    + - * /: numpy's vectorised power and transcendental functions may
+    round otherwise than the C library's, which a Python float takes.
 
     Returns (times, path): the steps+1 times from 0 to t, and the states
     there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H
@@ -547,28 +521,29 @@ def rk4_hamiltonian_flow(
     z = _as_state(z0)
     path = np.empty((steps + 1,) + z.shape)
     path[0] = z
-    # both loops stay: one state is fastest in Python floats, and ten
+    # both velocities stay: one state is fastest in Python floats, and ten
     # fields step in about 100 us as one batch and in 450-500 us as ten
     # one-state flows
     batch = z.shape[:-1]
-    if not batch:
-        _one_state_flow(hamiltonian, path, h)
-        return np.linspace(0.0, t, steps + 1), path
+    if batch:
+        # carried component-major, shape (6,) + batch, so that every ufunc
+        # of a step runs on contiguous operands of one shape
+        velocity, y0 = _batch_velocity(batch), np.moveaxis(z, -1, 0)
+    else:
+        velocity, y0 = _one_state_velocity, z.tolist()
 
     def stage_values(times):
         return [[hamiltonian(time) for time in row] for row in times.tolist()]
 
-    # The batch is carried component-major, shape (6,) + batch, so that
-    # every ufunc of a step runs on contiguous operands of one shape.
-    to_state = tuple(range(1, len(batch) + 1)) + (0,)
-    flow = rk4_steps(_batch_velocity(batch), stage_values, np.moveaxis(z, -1, 0), h, steps)
+    rows = np.moveaxis(path, -1, 1)  # path[i] component-major
     # overflow inside a step leaves a non-finite state: the check below
-    # reports it, so numpy need not warn about it
+    # reports it, so numpy need not warn about it; on one state's list,
+    # np.isfinite costs about 2 us a step and math.isfinite 0.3 us
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (time, state) in enumerate(flow, 1):
-            if not np.isfinite(state).all():
+        for i, (time, state) in enumerate(rk4_steps(velocity, stage_values, y0, h, steps), 1):
+            if not (np.isfinite(state).all() if batch else all(map(math.isfinite, state))):
                 raise FlowBlowupError(time)
-            path[i] = state.transpose(to_state)
+            rows[i] = state
     return np.linspace(0.0, t, steps + 1), path
 
 

@@ -233,8 +233,13 @@ def parse_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ScenarioError(f"{path}: no such scenario file")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"{path}: cannot read scenario file: {reason}") from None
     raw: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -613,10 +618,16 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    names = [s.name for s in scenarios]
-    if len(set(names)) != len(names):
-        print("error: scenario names must be unique within a batch", file=sys.stderr)
-        return 2
+    named: dict[str, str] = {}
+    for config, sc in zip(args.configs, scenarios):
+        if sc.name in named:
+            print(
+                f"error: {config}: scenario name '{sc.name}' is already "
+                f"taken by {named[sc.name]}; names must be unique within a batch",
+                file=sys.stderr,
+            )
+            return 2
+        named[sc.name] = config
 
     def execute(sc: Scenario) -> RunReport:
         # a scenario that raises is reported as such; the batch goes on

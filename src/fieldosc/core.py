@@ -151,9 +151,10 @@ def _sin_over_mw(params: OscParams, t, s, factor=1.0):
     (t/m) * factor at w = 0."""
     m, w = params.mass, params.omega
     x = w * t
-    small = (abs(x) < _TINY) & (t != 0.0)
-    if m * w >= _TINY and not np.any(small):
-        return s * factor / (m * w)
+    if m * w >= _TINY:
+        small = (abs(x) < _TINY) & (t != 0.0)
+        if not np.any(small):
+            return s * factor / (m * w)
     sinc = np.divide(s, x, out=np.ones_like(x), where=x != 0.0)
     limit = (t / m) * sinc * factor
     if m * w < _TINY:
@@ -234,9 +235,9 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
 
 def rk4_steps(
     rhs: Callable, stage_values: Callable, y0, h: float, steps: int
-) -> Iterator[tuple[float, np.ndarray]]:
+) -> Iterator[tuple[float, np.ndarray | list]]:
     """Classic fixed-step RK4 for dy/dt = rhs(y, c(t)), yielding (t, y)
-    after each of `steps` steps of size h.
+    after each of `steps` steps of size h: the package's one RK4 driver.
 
     Steps run in blocks of at most 32, and each block makes one call
     `stage_values(times)` on its (k, 3) stage times, row j being
@@ -244,17 +245,19 @@ def rk4_steps(
     coefficient c at those times along its first two axes (any sequence
     of k rows of three does); k1 reads a row's first value, k2 and k3 its
     second, k4 its third.  k4's time is i*h + h, which is not always the
-    step time (i+1)*h.  y is one C-order float copy of y0, updated in
-    place by y += (h/6) * (((k1 + 2 k2) + 2 k3) + k4), rounded in that
-    order, so a caller that keeps a step must copy it.  `rhs` must return
-    a fresh array of y's shape, which the update overwrites.
+    step time (i+1)*h.  The update is y + (h/6) * (((k1 + 2 k2) + 2 k3)
+    + k4), rounded in that order.
 
-    The finite-difference oracle steps one state in a float loop of its
-    own (`classical._one_state_flow`) that repeats these stage times and
-    this update, rounded in the same order: a change here must be made
-    there too.
+    The type of y0 selects the form of the state, and both forms round
+    the update in that one order, so they give the same bits.  A list of
+    Python floats steps in float arithmetic with no numpy call: `rhs`
+    takes and returns a list, and each step yields a new list.  Anything
+    else becomes one C-order float copy of y0, updated in place, so a
+    caller that keeps a step must copy it; `rhs` must then return a fresh
+    array of y's shape, which the update overwrites.
     """
-    y = np.array(y0, dtype=float, order="C")
+    floats = isinstance(y0, list)
+    y = y0 if floats else np.array(y0, dtype=float, order="C")
     half_h = 0.5 * h
     offsets = np.array([0.0, half_h, h])
     sixth_h = h / 6.0
@@ -264,14 +267,23 @@ def rk4_steps(
         stages = stage_values((np.arange(first, last) * h)[:, None] + offsets)
         for i, (start, mid, end) in zip(range(first, last), stages):
             k1 = rhs(y, start)
-            k2 = rhs(y + half_h * k1, mid)
-            k3 = rhs(y + half_h * k2, mid)
-            k4 = rhs(y + h * k3, end)
-            k2 *= 2.0
-            k3 *= 2.0
-            k1 += k2
-            k1 += k3
-            k1 += k4
-            k1 *= sixth_h
-            y += k1
+            if floats:
+                k2 = rhs([a + half_h * b for a, b in zip(y, k1)], mid)
+                k3 = rhs([a + half_h * b for a, b in zip(y, k2)], mid)
+                k4 = rhs([a + h * b for a, b in zip(y, k3)], end)
+                y = [
+                    a + (((b1 + 2.0 * b2) + 2.0 * b3) + b4) * sixth_h
+                    for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+                ]
+            else:
+                k2 = rhs(y + half_h * k1, mid)
+                k3 = rhs(y + half_h * k2, mid)
+                k4 = rhs(y + h * k3, end)
+                k2 *= 2.0
+                k3 *= 2.0
+                k1 += k2
+                k1 += k3
+                k1 += k4
+                k1 *= sixth_h
+                y += k1
             yield (i + 1) * h, y

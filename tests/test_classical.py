@@ -654,8 +654,8 @@ class TestRK4Oracle:
             assert (np.signbit(one) & (one == 0.0)).any()
 
     def test_oracle_stage_times(self):
-        # 97 steps cross the batch loop's 32-step block boundaries; the
-        # one-state loop makes its stage times itself
+        # 97 steps cross rk4_steps' 32-step block boundaries, which one
+        # state and a batch both step through
         steps = 97
         h = 0.97 / steps
         z0 = np.array([0.4, -0.1, 0.0, 0.0, 0.0, 0.0])

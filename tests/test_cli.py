@@ -153,6 +153,32 @@ class TestParsing:
         assert main(["run", str(path), "--check-only"]) == 2
         assert f"error: {message.format(path=path)}\n" == capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "make, reason",
+        [
+            (
+                lambda path: path.write_bytes(b"name = caf\xe9\nmode = case2\n"),
+                "'utf-8' codec can't decode byte 0xe9",
+            ),
+            (lambda path: path.mkdir(), "Is a directory"),
+        ],
+        ids=["not-utf-8", "directory"],
+    )
+    def test_unreadable_file_is_a_diagnostic(self, tmp_path, capsys, make, reason):
+        path = tmp_path / "bad.cfg"
+        make(path)
+        assert main(["run", str(path), "--check-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot read scenario file: "), err
+        assert reason in err and "Traceback" not in err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes("\ufeffmode = case2\nsamples = 4\n".encode("utf-8"))
+        assert parse_scenario(path).mode == "case2"
+        assert main(["run", str(path), "--check-only"]) == 0
+        assert "-- bom: ok" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["../escaped", "sub/dir", ".", ".."])
     def test_name_is_one_file_name(self, tmp_path, capsys, name):
         # the name becomes the artifact's file name, so a path would write
@@ -495,6 +521,9 @@ class TestMain:
         a = write(tmp_path, "a.cfg", "name = same\nmode = eigenstate-expansion\n")
         b = write(tmp_path, "b.cfg", "name = same\nmode = case2\n")
         assert main(["run", str(a), str(b), "--check-only"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {b}: scenario name 'same' is already taken by {a}")
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -299,3 +299,49 @@ class TestRK4Stages:
             plain = plain + (h / 6.0) * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
             assert path[i][0] == (i + 1) * h
             assert np.array_equal(path[i][1], plain)
+
+    # y' = c(t) * P y with P a signed permutation: component r is
+    # c * (sign[r] * y[source[r]]), so both forms make the same products
+    _SOURCE = (3, 2, 5, 0, 1, 4)
+    _SIGN = (1.0, -1.0, -1.0, 1.0, 1.0, -1.0)
+
+    @staticmethod
+    def _coefficients(times):
+        return (1.0 + 0.5 * np.sin(3.0 * times)).tolist()
+
+    def _float_rhs(self, y, c):
+        return [c * (s * y[j]) for s, j in zip(self._SIGN, self._SOURCE)]
+
+    def _array_rhs(self, y, c):
+        return c * (np.array(self._SIGN) * y[list(self._SOURCE)])
+
+    def test_float_and_array_forms_agree(self):
+        # 97 steps cross the 32-step block boundaries; the -0.0 start
+        # component checks that the two forms round zeros alike
+        y0 = [0.4, -0.0, 1.3, -0.7, 0.0, 0.25]
+        h, steps = 0.731 / 97, 97
+        floats = [
+            (t, y)
+            for t, y in rk4_steps(self._float_rhs, self._coefficients, list(y0), h, steps)
+        ]
+        arrays = [
+            (t, y.copy())
+            for t, y in rk4_steps(self._array_rhs, self._coefficients, np.array(y0), h, steps)
+        ]
+        assert len(floats) == len(arrays) == steps
+        for (t, y), (t_array, y_array) in zip(floats, arrays):
+            assert t == t_array
+            assert type(y) is list and all(type(v) is float for v in y)
+            assert np.array_equal(y, y_array)
+            assert np.array_equal(np.signbit(y), np.signbit(y_array))
+
+    def test_kept_float_steps_stay_as_yielded(self):
+        y0 = [0.4, -0.0, 1.3, -0.7, 0.0, 0.25]
+        start = list(y0)
+        kept, copies = [], []
+        for _, y in rk4_steps(self._float_rhs, self._coefficients, y0, 0.01, 40):
+            kept.append(y)
+            copies.append(list(y))
+        assert y0 == start
+        assert kept == copies
+        assert len({id(y) for y in kept}) == len(kept)
