@@ -443,19 +443,18 @@ def solve_driven(
 
 
 def _one_state_velocity(s: list, energy: Callable) -> list:
-    """Sigma grad H at one state, a list of six Python floats, with the
-    energy and the central differences in floats.  The arithmetic is the
-    batch path's, bit for bit: a plus row adds +0.0 to every component it
-    does not displace (so a -0.0 there becomes +0.0) and a minus row leaves
-    them as they are, as state + step * (+-eye) does."""
+    """Sigma grad H at one state, a list of six Python floats, in floats
+    and bit for bit the batch path: each row displaces one component of
+    two lists, `up` adding +0.0 to the others (a -0.0 becomes +0.0) and
+    `down` keeping them, as state + step * (+-eye) does, then puts the
+    component back."""
     scale = _FD_STEP * (1.0 + max(map(abs, s)))
-    plus = [c + 0.0 for c in s]
-    out = []
+    up, down, out = [c + 0.0 for c in s], s.copy(), []
     for c, sign in enumerate((2.0, -2.0, 2.0, -2.0, 2.0, -2.0)):
-        up, down = plus.copy(), s.copy()
-        up[c ^ 1] = s[c ^ 1] + scale
-        down[c ^ 1] = s[c ^ 1] - scale
+        j = c ^ 1
+        up[j], down[j] = s[j] + scale, s[j] - scale
         out.append((energy(up) - energy(down)) / (scale * sign))
+        up[j], down[j] = s[j] + 0.0, s[j]
     return out
 
 
@@ -503,12 +502,14 @@ def rk4_hamiltonian_flow(
     6 + r displaces it by -step, so the differences come out in the order
     of Sigma grad H.  For one state, z is a list of six Python floats,
     `energy` is called once per row, and the state steps as a list of
-    floats; for a batch, z is a list of six contiguous (12,) + batch
-    arrays, the components of one (6, 12) + batch buffer, and `energy`
-    is called once per stage.  Both run on `core.rk4_steps`, whose two
-    forms round alike, so they give the same bits when `energy` uses only
-    + - * /: numpy's vectorised power and transcendental functions may
-    round otherwise than the C library's, which a Python float takes.
+    floats; the gradient's rows reuse two lists, so `energy` must not
+    keep the list it is handed.  For a batch, z is a list of six
+    contiguous (12,) + batch arrays, the components of one (6, 12) +
+    batch buffer, and `energy` is called once per stage.  Both run on
+    `core.rk4_steps`, whose two forms round alike, so they give the same
+    bits when `energy` uses only + - * /: numpy's vectorised power and
+    transcendental functions may round otherwise than the C library's,
+    which a Python float takes.
 
     Returns (times, path): the steps+1 times from 0 to t, and the states
     there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H

@@ -36,6 +36,7 @@ __all__ = [
     "ReducedQuadraticHamiltonian",
     "StabilityRow",
     "accumulated_rotation",
+    "rotation_ode",
     "fixed_axis_hill",
     "rotating_field_generator",
     "frame_conjugation_defect",
@@ -102,14 +103,32 @@ def accumulated_rotation(field: FixedAxisField, t: float) -> np.ndarray:
     by the accumulated angle int_0^t q*B3(s)/m ds.
 
     Valid because the generator commutes with itself at different times;
-    the tests confirm it against direct integration of dR/dt = W(t) R(t).
+    `rotation_ode` integrates dR/dt = W(t) R(t) to check it.
     """
     if t == 0.0:
         return np.eye(3)
     n = simpson_panels(_PANELS_PER_UNIT, t)
     times = np.linspace(0.0, t, n + 1)
-    angle = float(cumulative_simpson(field.rate(times), times[1] - times[0])[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a ValueError
+        rates = field.rate(times)
+        if not np.isfinite(rates).all():
+            raise ValueError("rotation angle must be finite: q*B3/m is not finite on [0, t]")
+        angle = float(cumulative_simpson(rates, times[1] - times[0])[-1])
     return rotation_about_z(angle)
+
+
+def rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
+    """RK4 of dR/dt = W(t) R from R(0) = I in `steps` steps, the oracle of
+    `accumulated_rotation`: W R has rows -w R[1], w R[0] and 0, w the
+    rate, and R steps as nine Python floats, row-major, on `rk4_steps`."""
+
+    def rhs(r, w):
+        return [-w * r[3], -w * r[4], -w * r[5], w * r[0], w * r[1], w * r[2], 0.0, 0.0, 0.0]
+
+    r = np.eye(3).ravel().tolist()
+    for _, r in rk4_steps(rhs, lambda times: field.rate(times).tolist(), r, t / steps, steps):
+        pass
+    return np.array(r).reshape(3, 3)
 
 
 def fixed_axis_hill(field: FixedAxisField, period: float) -> "HillSystem":

@@ -56,10 +56,11 @@ from fieldosc.tdfields import (
     frame_conjugation_defect,
     hill_monodromy,
     mathieu_hill,
+    rotation_ode,
 )
 from fieldosc.cli import main as cli_main
 
-from test_tdfields import integrate_rotation_ode, monodromy_oracle
+from test_tdfields import monodromy_oracle
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -329,7 +330,7 @@ class TestHillAnalysis:
         trace_defect = abs(hill_monodromy(const).trace - 2.0 * math.cos(w0 * period))
 
         fixed = FixedAxisField(b3=lambda t: 1.0 + 0.5 * np.cos(1.3 * t))
-        ode = integrate_rotation_ode(fixed, 3.0, 30000)
+        ode = rotation_ode(fixed, 3.0, 30000)
         case1_defect = float(np.max(np.abs(accumulated_rotation(fixed, 3.0) - ode)))
 
         rot = RotatingField(b1=0.7, b3=1.1, alpha=0.9)

@@ -21,9 +21,8 @@ from fieldosc.cli import (
     run,
     wavefunction_rows,
 )
-from fieldosc.core import cross_matrix, rk4_steps
 from fieldosc.quantum import Grid, gaussian_wavepacket
-from fieldosc.tdfields import FixedAxisField, accumulated_rotation
+from fieldosc.tdfields import FixedAxisField, accumulated_rotation, rotation_ode
 
 from test_tdfields import rotation_ode_reference_loop
 
@@ -228,13 +227,8 @@ class TestRunners:
         ode = rotation_ode_reference_loop(field, 2.0, 3000)
         assert defect == float(np.max(np.abs(accumulated_rotation(field, 2.0) - ode)))
         # the defect is a multiple of ulp(1), so also compare the RK4 matrix
-        # of case1's right-hand side run through rk4_steps
-        def rhs(r, rate):
-            return cross_matrix((0.0, 0.0, float(rate))) @ r
-
-        for _, r in rk4_steps(rhs, field.rate, np.eye(3), 2.0 / 3000, 3000):
-            pass
-        assert np.array_equal(r, ode)
+        # of the package's frame ODE, which case1 runs
+        assert np.array_equal(rotation_ode(field, 2.0, 3000), ode)
 
     def test_case1_reuses_stage_generators(self, tmp_path, monkeypatch):
         # one rate call per block of 32 steps on their three stage times
@@ -505,6 +499,20 @@ class TestMain:
         assert proc.returncode == 3
         assert "[FAIL] blowup: error (FlowBlowupError: " in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amp", ["1e308", "0"])
+    def test_case1_overflow_is_one_error_line_without_warnings(self, tmp_path, capsys, amp):
+        # amp 1e308 overflows the rate, amp 0 the quadrature of a finite
+        # rate: the closed form rejects either, and numpy warns of neither
+        path = write(
+            tmp_path,
+            "ovf.cfg",
+            f"mode = case1\nb3_const = 1e308\nb3_cos_amp = {amp}\node_steps = 100\n",
+        )
+        assert main(["run", str(path), "--check-only"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("[FAIL] ovf: error (ValueError: rotation angle must be finite")
 
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_sweep_step_count_is_a_usage_error(self, value):

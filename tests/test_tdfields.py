@@ -32,14 +32,15 @@ from fieldosc.tdfields import (
     hill_monodromy,
     mathieu_hill,
     rotating_field_generator,
+    rotation_ode,
     stability_map,
 )
 from fieldosc.tdfields import _monodromy_matrices
 
 
-def integrate_rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
-    """RK4 on dR/dt = W(t) R(t), the defining equation of the frame, run
-    through `rk4_steps`; `rotation_ode_reference_loop` has its bits."""
+def rotation_ode_matrix_form(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
+    """`rotation_ode` on a 3x3 array: the generator matrix of each stage
+    times R, through `rk4_steps`' array form."""
     J = cross_matrix((0.0, 0.0, 1.0))
 
     def generators(times):
@@ -52,7 +53,7 @@ def integrate_rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.nd
 
 def rotation_ode_reference_loop(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
     """The same RK4 written out step by step, one generator matrix per
-    stage: the bit reference that `rk4_steps` is checked against."""
+    stage: the bit reference that `rotation_ode` is checked against."""
     h = t / steps
     starts = np.arange(steps) * h
     # the rate at every stage time of each kind: step start, midpoint, end
@@ -171,7 +172,7 @@ class TestFixedAxisRotation:
     def test_matches_ode_integration(self):
         field = FixedAxisField(b3=lambda t: 1.0 + 0.5 * np.cos(1.3 * t))
         t = 3.0
-        oracle = integrate_rotation_ode(field, t, 30000)
+        oracle = rotation_ode(field, t, 30000)
         assert np.max(np.abs(accumulated_rotation(field, t) - oracle)) <= 1e-7
 
     def test_uniform_agreement_over_ten_periods(self):
@@ -179,8 +180,26 @@ class TestFixedAxisRotation:
         field = FixedAxisField(b3=lambda t: 0.8 + 0.4 * np.cos(1.3 * t))
         for frac in (0.5, 2.0, 5.0, 10.0):
             t = frac * period
-            oracle = integrate_rotation_ode(field, t, int(20000 * max(frac, 1)))
+            oracle = rotation_ode(field, t, int(20000 * max(frac, 1)))
             assert np.max(np.abs(accumulated_rotation(field, t) - oracle)) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "const, amp, charge, mass, steps",
+        [
+            (1.0, 0.5, 1.0, 1.0, 1000),  # b3 > 0
+            (-1.2, 0.4, 1.0, 1.0, 1000),  # b3 < 0
+            (0.2, 0.6, 1.0, 1.0, 1000),  # b3 changes sign during the run
+            (0.9, -0.3, -1.0, 2.5, 1000),
+            (1.0, 0.5, 1.0, 1.0, 1),
+            (-0.7, 0.5, 1.0, 1.0, 97),  # not a multiple of the 32-step block
+        ],
+    )
+    def test_float_and_matrix_forms_agree(self, const, amp, charge, mass, steps):
+        field = FixedAxisField(b3=lambda t: const + amp * np.cos(1.3 * t), charge=charge, mass=mass)
+        floats = rotation_ode(field, 4.0, steps)
+        matrix = rotation_ode_matrix_form(field, 4.0, steps)
+        assert np.array_equal(floats, matrix)
+        assert np.array_equal(np.signbit(floats), np.signbit(matrix))
 
     def test_non_finite_field_rejected(self):
         # a NaN field strength used to give a rotation with NaN planar
