@@ -137,6 +137,15 @@ class Drive:
             (abs(w) for w, ca, sa in self.terms if ca.any() or sa.any()), default=0.0
         )
 
+    def component(self, axis: int) -> "Drive":
+        """The force's `axis` component alone, moved to the first slot
+        (the one a 1-D grid reads); its first slot is ``self(t)[..., axis]``
+        bit for bit, and the other two are zero."""
+        return Drive(terms=tuple(
+            (w, np.array([ca[axis], 0.0, 0.0]), np.array([sa[axis], 0.0, 0.0]))
+            for w, ca, sa in self.terms
+        ))
+
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         tt = np.atleast_1d(t)

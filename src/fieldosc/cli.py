@@ -59,6 +59,7 @@ from .quantum import (
     planar_field_hamiltonian,
     rotated_product_coefficients,
     split_step_evolve,
+    split_step_product,
     unitary_moving_origin,
     unitary_rotation,
     WaveFunction,
@@ -401,15 +402,23 @@ def _run_quantum(sc: Scenario):
     # a packet the grid cannot hold fails here, before any evolution
     check_shift_support(psi0, mover.q_nh(T)[:2])
 
+    # psi0 is a product of one packet per axis, and the oscillator and
+    # driven Hamiltonians, which have no L_z term, are sums of one-axis
+    # terms: their runs evolve the two 1-D packets, the planar run psi0
+    line = Grid(dims=1, n=grid.n, half_width=grid.half_width)
+    factors = [
+        gaussian_wavepacket(line, c, k, p["width"], p["hbar"])
+        for c, k in zip(p["center"], p["momentum"])
+    ]
     drive_free = p["e_field"][0] == 0.0 and p["e_field"][1] == 0.0
-    phi3 = split_step_evolve(psi0, oscillator_hamiltonian(params), T, dt)
+    phi3 = split_step_product(factors, oscillator_hamiltonian(params), T, dt)
     phi2_via = unitary_moving_origin(phi3, T, mover)
     # at zero planar force the driven split-step multiplies by exactly the
-    # oscillator's factors, so its run would be phi3 bit for bit
+    # oscillator's factors, so its runs would be phi3 bit for bit
     if drive_free:
         phi2 = phi3
     else:
-        phi2 = split_step_evolve(psi0, driven_hamiltonian(params, drive), T, dt)
+        phi2 = split_step_product(factors, driven_hamiltonian(params, drive), T, dt)
     psi1_via = unitary_rotation(phi2, T, field.frame_rate)
     psi1 = split_step_evolve(psi0, planar_field_hamiltonian(field), T, dt)
     # a packet whose momenta outgrow the grid fails here, not as a link

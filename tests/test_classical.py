@@ -196,6 +196,32 @@ class TestDrive:
         tiny = Drive.sinusoids([(-7.0, (0.0, 0.0, 0.0), (0.0, 0.0, 5e-324))])
         assert tiny.frequency_scale() == 7.0
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_component_is_one_slot_bit_for_bit(self, axis):
+        rng = np.random.default_rng(17)
+        d = Drive.sinusoids(
+            [(w, rng.normal(size=3), rng.normal(size=3)) for w in (0.0, 1.3, -4.1)]
+            + [(2.2, (-0.0, 0.7, 0.0), (0.0, -0.0, -0.9))]
+        )
+        part = d.component(axis)
+        for t in (0.0, 0.8, -3.7, rng.uniform(-20.0, 20.0, size=(4, 5))):
+            got, full = part(t), d(t)
+            assert got.shape == full.shape
+            assert np.array_equal(got[..., 0], full[..., axis])
+            assert np.array_equal(np.signbit(got[..., 0]), np.signbit(full[..., axis]))
+            assert not got[..., 1:].any()
+
+    def test_component_frequency_scale(self):
+        # the planar term at rate 5 has no z amplitude, and the z term has
+        # rate 0, so the z component is a constant force
+        d = Drive.rotating_constant((0.2, 0.0, 0.3), 5.0)
+        assert [d.component(axis).frequency_scale() for axis in range(3)] == [5.0, 5.0, 0.0]
+        # a component with zero amplitude in every term is no force at any rate
+        d = Drive.sinusoids([(3.0, (0.4, 0.0, 0.0), (0.0, 0.0, -0.0))])
+        assert d.component(0).frequency_scale() == 3.0
+        assert d.component(1).frequency_scale() == 0.0
+        assert d.component(2).frequency_scale() == 0.0
+
 
 class TestHamiltonians:
     def test_h1_zero_state(self):

@@ -309,14 +309,16 @@ class TestRunners:
     )
     def test_quantum_evolutions(self, tmp_path, monkeypatch, e_field, evolutions):
         # a drive-free packet is evolved once for the oscillator and the
-        # driven oscillator, and once for the charge
+        # driven oscillator, and once for the charge; the charge's evolution
+        # is one 2-D run, each separable one a 1-D run per axis
         calls = []
-        evolve = cli.split_step_evolve
+        evolve = quantum.split_step_evolve
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return evolve(*args, **kwargs)
+        def counted(psi0, *args, **kwargs):
+            calls.append(psi0.grid.dims)
+            return evolve(psi0, *args, **kwargs)
 
+        monkeypatch.setattr(quantum, "split_step_evolve", counted)
         monkeypatch.setattr(cli, "split_step_evolve", counted)
         path = write(
             tmp_path,
@@ -324,7 +326,7 @@ class TestRunners:
             f"mode = quantum-pipeline\nb3 = 2.0\ne_field = {e_field}\ngrid_n = 32\ntime = 0.1\n",
         )
         assert run(parse_scenario(path)).passed
-        assert len(calls) == evolutions
+        assert sorted(calls) == [1] * 2 * (evolutions - 1) + [2]
 
     def test_quantum_pipeline_at_hbar_two(self, tmp_path, capsys):
         path = write(

@@ -33,6 +33,7 @@ from fieldosc.quantum import (
     spectral_rotate,
     spectral_shift,
     split_step_evolve,
+    split_step_product,
     unitary_moving_origin,
     unitary_rotation,
     _RotationPlan,
@@ -551,6 +552,75 @@ class TestSplitStepBits:
             assert np.array_equal(got, _reference_split_step(psi0, ham, 0.1, 1e-3))
 
 
+_LINE32 = Grid(dims=1, n=32, half_width=8.0)
+
+
+def _product_factors(hbar=1.0):
+    return [
+        gaussian_wavepacket(_LINE32, c, k, 0.8, hbar) for c, k in ((0.5, 0.3), (-0.3, 0.1))
+    ]
+
+
+def _product_cases(b3):
+    field = StaticField(b3=b3, e=(0.12, -0.08, 0.0))
+    params = field.osc_params
+    return {
+        "oscillator": oscillator_hamiltonian(params),
+        "sinusoid-driven": driven_hamiltonian(params, field.rotated_drive()),
+        "sinusoid-driven-e1-only": driven_hamiltonian(
+            params, StaticField(b3=b3, e=(0.12, 0.0, 0.0)).rotated_drive()
+        ),
+        "constant-force-x2-only": driven_hamiltonian(params, Drive.constant((0.0, -0.2, 0.0))),
+    }
+
+
+class TestSplitStepProduct:
+    """The product of two 1-D runs is the 2-D run of the product state."""
+
+    @pytest.mark.parametrize("b3", [2.6, -2.6])
+    @pytest.mark.parametrize("kind", sorted(_product_cases(1.0)))
+    def test_matches_planar_run(self, kind, b3):
+        ham = _product_cases(b3)[kind]
+        u, v = _product_factors(hbar=1.3)
+        psi0 = WaveFunction(
+            grid=Grid(dims=2, n=32, half_width=8.0),
+            values=np.multiply.outer(u.values, v.values),
+            hbar=1.3,
+        )
+        got = split_step_product((u, v), ham, 0.2, 1e-3)
+        assert got.grid == psi0.grid and got.hbar == 1.3
+        assert got.distance(split_step_evolve(psi0, ham, 0.2, 1e-3)) <= 1e-12
+
+    def test_angular_momentum_refused(self):
+        ham = GridHamiltonian(mass=1.0, stiffness=1.0, rotation_rate=0.5)
+        with pytest.raises(ValueError, match="couples the axes"):
+            split_step_product(_product_factors(), ham, 0.1, 1e-3)
+
+    def test_coarse_dt_refused_as_in_the_planar_run(self):
+        ham = driven_hamiltonian(_QUARTER_FIELD.osc_params, _QUARTER_FIELD.rotated_drive())
+        psi0 = gaussian_wavepacket(Grid(dims=2, n=32, half_width=8.0), (0.5, -0.3), (0.3, 0.1), 0.8)
+        with pytest.raises(ValueError, match="time scale"):
+            split_step_evolve(psi0, ham, 0.1, 1e-2)
+        with pytest.raises(ValueError, match="time scale"):
+            split_step_product(_product_factors(), ham, 0.1, 1e-2)
+
+    _U = _product_factors()[0]
+    _PLANE = gaussian_wavepacket(Grid(dims=2, n=32, half_width=8.0), (0.0, 0.0), (0.0, 0.0), 0.8)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (_U, gaussian_wavepacket(Grid(dims=1, n=64, half_width=8.0), 0.0, 0.0, 0.8)),
+            (_U, gaussian_wavepacket(_LINE32, 0.0, 0.0, 0.8, hbar=2.0)),
+            (_PLANE, _PLANE),
+        ],
+        ids=["grids-differ", "hbars-differ", "two-dimensional"],
+    )
+    def test_mismatched_factors_refused(self, factors):
+        with pytest.raises(ValueError, match="one 1D grid and one hbar"):
+            split_step_product(factors, oscillator_hamiltonian(OscParams()), 0.1, 1e-3)
+
+
 class TestInputsNeverWritten:
     """The spectral passes work in place on buffers of their own; the
     arrays a caller hands in keep every bit."""
@@ -567,6 +637,14 @@ class TestInputsNeverWritten:
         before = psi0.values.copy()
         split_step_evolve(psi0, ham, 0.05, dt)
         assert np.array_equal(psi0.values, before)
+
+    @pytest.mark.parametrize("kind", ["oscillator", "sinusoid-driven"])
+    def test_split_step_product(self, kind):
+        factors = _product_factors()
+        before = [f.values.copy() for f in factors]
+        split_step_product(factors, _product_cases(2.6)[kind], 0.05, 1e-3)
+        for f, b in zip(factors, before):
+            assert np.array_equal(f.values, b)
 
     def test_spectral_shift(self):
         values = self.packet().values
