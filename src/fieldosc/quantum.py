@@ -323,7 +323,9 @@ def _quarter_pullback(values: np.ndarray) -> np.ndarray:
 class _RotationPlan:
     """Precomputed shear phases for repeated rotations by a fixed angle:
     exact quarter turns plus a three-shear decomposition of the residual
-    (|residual| <= pi/4, so the shear tangents stay bounded)."""
+    (|residual| <= pi/4, so the shear tangents stay bounded).  The first
+    shear is along axis 0: `shear_spectrum` takes values already
+    transformed along that axis."""
 
     def __init__(self, grid: Grid, angle: float):
         if not math.isfinite(angle):
@@ -353,11 +355,18 @@ class _RotationPlan:
         if self.quarters:
             out = np.ascontiguousarray(out)
         if self.phases is not None:
-            shear_x, shear_y = self.phases
-            _fourier_multiply(out, 0, shear_x)
-            _fourier_multiply(out, 1, shear_y)
-            _fourier_multiply(out, 0, shear_x)
+            np.fft.fft(out, axis=0, out=out)
+            self.shear_spectrum(out)
         return out
+
+    def shear_spectrum(self, values: np.ndarray) -> None:
+        """The three shears, in place, on values already transformed along
+        axis 0; leaves the sheared samples.  Needs a plan with phases."""
+        shear_x, shear_y = self.phases
+        values *= shear_x
+        np.fft.ifft(values, axis=0, out=values)
+        _fourier_multiply(values, 1, shear_y)
+        _fourier_multiply(values, 0, shear_x)
 
 
 def spectral_rotate(values: np.ndarray, grid: Grid, angle: float) -> np.ndarray:
@@ -528,6 +537,11 @@ def split_step_evolve(
     accurate); psi0 is the state at time 0 and carries the hbar.  The planar
     angular-momentum term is applied as an exact per-step rotation, which
     commutes with the kinetic factor.
+
+    The transforms run one axis at a time, last axis first, as in `fftn`.
+    A rotation with no quarter turn takes the kinetic factor's output
+    still transformed along axis 0, skipping an inverse and a forward
+    transform that cancel: 8 one-axis passes a step instead of 10.
     """
     steps, h = _fixed_steps(t, dt)
     drive_rate = ham.drive.frequency_scale() if ham.drive is not None else 0.0
@@ -563,14 +577,23 @@ def split_step_evolve(
 
     angle = ham.rotation_rate * h
     rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
+    shear_from_spectrum = (
+        rotation is not None and rotation.quarters == 0 and rotation.phases is not None
+    )
+    axes = tuple(reversed(range(grid.dims)))
+    inverse_axes = axes[:-1] if shear_from_spectrum else axes
     values = np.array(psi0.values, dtype=complex)
     for f in potential_factor(0.0, 0.5 * h):
         values *= f
     for i in range(steps):
-        np.fft.fftn(values, out=values)
+        for axis in axes:
+            np.fft.fft(values, axis=axis, out=values)
         values *= kinetic_phase
-        np.fft.ifftn(values, out=values)
-        if rotation is not None:
+        for axis in inverse_axes:
+            np.fft.ifft(values, axis=axis, out=values)
+        if shear_from_spectrum:
+            rotation.shear_spectrum(values)
+        elif rotation is not None:
             values = rotation.apply(values)
         tau = h if i < steps - 1 else 0.5 * h
         if tau == h and full_step is not None:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -449,9 +450,21 @@ def _reference_rotate(plan, values):
     return out
 
 
-def _reference_split_step(psi0, ham, t, dt):
-    """The split-step loop in its first, out-of-place form: a new array
-    for every transform and factor product, factors rebuilt every step."""
+def _reference_shear_spectrum(plan, values):
+    """A plan's three shears, out of place, on values already transformed
+    along axis 0."""
+    shear_x, shear_y = plan.phases
+    out = np.fft.ifft(values * shear_x, axis=0)
+    out = np.fft.ifft(np.fft.fft(out, axis=1) * shear_y, axis=1)
+    return np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
+
+
+def _reference_split_step(psi0, ham, t, dt, round_trip=False):
+    """The split-step loop out of place: a new array for every transform
+    and factor product, factors rebuilt every step.  A rotation with no
+    quarter turn takes the kinetic factor's axis-0 spectrum; with
+    `round_trip` every rotation takes samples, the loop's first form,
+    which transforms back along axis 0 and at once forward again."""
     steps = max(1, int(round(t / dt)))
     h = t / steps
     grid = psi0.grid
@@ -482,10 +495,20 @@ def _reference_split_step(psi0, ham, t, dt):
     rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
     values = np.asarray(psi0.values, dtype=complex)
     values = apply_axis_factors(values, potential_factor(0.0, 0.5 * h))
+    shear_from_spectrum = (
+        not round_trip
+        and rotation is not None
+        and rotation.quarters == 0
+        and rotation.phases is not None
+    )
     for i in range(steps):
-        values = np.fft.ifftn(np.fft.fftn(values) * kinetic_phase)
-        if rotation is not None:
-            values = _reference_rotate(rotation, values)
+        values = np.fft.fftn(values) * kinetic_phase
+        if shear_from_spectrum:
+            values = _reference_shear_spectrum(rotation, np.fft.ifft(values, axis=1))
+        else:
+            values = np.fft.ifftn(values)
+            if rotation is not None:
+                values = _reference_rotate(rotation, values)
         tau = h if i < steps - 1 else 0.5 * h
         values = apply_axis_factors(values, potential_factor((i + 1) * h, tau))
     return values
@@ -541,6 +564,37 @@ class TestSplitStepBits:
         plan = _RotationPlan(Grid(dims=2, n=32, half_width=8.0), ham.rotation_rate * dt)
         assert plan.quarters != 0 and plan.phases is not None
 
+    @pytest.mark.parametrize("n, t", [(32, 0.2), (64, 0.8)])
+    def test_planar_run_within_roundoff_of_round_trip(self, n, t):
+        # skipping the axis-0 inverse and forward transforms between the
+        # kinetic factor and the first shear changes only roundoff
+        ham, dt = _SPLIT_CASES["planar"]
+        grid = Grid(dims=2, n=n, half_width=8.0)
+        psi0 = gaussian_wavepacket(grid, (0.5, -0.3), (0.3, 0.1), 0.8, hbar=1.3)
+        got = split_step_evolve(psi0, ham, t, dt).values
+        first = _reference_split_step(psi0, ham, t, dt, round_trip=True)
+        assert np.max(np.abs(got - first)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, dims, per_step",
+        [("planar", 2, 8), ("planar-quarter-turn", 2, 10), ("oscillator", 2, 4), ("sinusoid-driven", 1, 2)],
+    )
+    def test_one_axis_transforms_per_step(self, monkeypatch, kind, dims, per_step):
+        counts = collections.Counter()
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        ham, dt = _SPLIT_CASES[kind]
+        grid = Grid(dims=dims, n=32, half_width=8.0)
+        psi0 = gaussian_wavepacket(grid, (0.5, -0.3)[:dims], (0.3, 0.1)[:dims], 0.8)
+        split_step_evolve(psi0, ham, 2 * dt, dt)
+        assert counts["fftn"] == counts["ifftn"] == 0
+        assert counts["fft"] + counts["ifft"] == 2 * per_step
+
     def test_one_dimensional_matches_out_of_place_loop(self):
         grid = Grid(dims=1, n=64, half_width=10.0)
         psi0 = gaussian_wavepacket(grid, (0.6,), (-0.2,), (0.7,))
@@ -550,6 +604,20 @@ class TestSplitStepBits:
             ham = driven_hamiltonian(OscParams(1.0, 1.2), drive)
             got = split_step_evolve(psi0, ham, 0.1, 1e-3).values
             assert np.array_equal(got, _reference_split_step(psi0, ham, 0.1, 1e-3))
+
+
+class TestRotationPlanBits:
+    """Rotating the state in the frame map is the out-of-place rotation to
+    the last bit, whatever the split-step does with the plan's shears."""
+
+    @pytest.mark.parametrize("angle", [0.3, -0.7, math.pi / 2, 2.2, 3.9])
+    def test_matches_out_of_place_rotation(self, angle):
+        grid = Grid(dims=2, n=32, half_width=8.0)
+        values = gaussian_wavepacket(grid, (0.5, -0.3), (0.3, 0.1), 0.8).values
+        plan = _RotationPlan(grid, angle)
+        expected = _reference_rotate(plan, values)
+        assert np.array_equal(plan.apply(values.copy()), expected)
+        assert np.array_equal(spectral_rotate(values, grid, angle), expected)
 
 
 _LINE32 = Grid(dims=1, n=32, half_width=8.0)
