@@ -8,7 +8,9 @@
     keys N     -- scenario-file keys: the entries of `_COMMON_SCHEMA`
                   and of each mode's dict in `_SCHEMAS`
 
-Flags and keys are the knobs a user can set.
+Flags and keys are the knobs a user can set.  Then one line per module,
+`module NAME N` with N its line count, so two prints show where the
+lines went.
 
 Usage: python scripts/code_size.py src/fieldosc
 """
@@ -67,12 +69,15 @@ def main(argv) -> int:
         return 2
     files = sorted(Path(argv[1]).glob("*.py"))
     texts = [f.read_bytes() for f in files]
-    lines = sum(t.count(b"\n") for t in texts)
+    counts = [t.count(b"\n") for t in texts]
+    lines = sum(counts)
     trees = [ast.parse(t) for t in texts]
     print(f"lines {lines}")
     print(f"options {sum(map(count_options, trees))}")
     print(f"flags {sum(map(count_flags, trees))}")
     print(f"keys {sum(map(count_keys, trees))}")
+    for f, n in zip(files, counts):
+        print(f"module {f.name} {n}")
     return 0
 
 

@@ -295,7 +295,9 @@ def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.nd
     out = np.empty((times.size, 6))
     for pairs, group in _pair_groups(params):
         m, w = group.mass, group.omega
-        c, s = np.cos(w * times), np.sin(w * times)
+        # at w = 0 the cosine is 1 and the sine is its argument, +-0
+        x = w * times
+        c, s = (1.0, x) if w == 0.0 else (np.cos(x), np.sin(x))
         upper = _sin_over_mw(group, times, s)
         for axis in pairs:
             kx = k[:, axis]
@@ -308,7 +310,7 @@ def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.nd
 
 def forced_path(params: OscParams, drive: Drive, times: np.ndarray) -> np.ndarray:
     """Zero-initial-data response sampled on a uniform time grid."""
-    times = np.asarray(times, dtype=float)
+    times = _as_times(times)
     return _forced_path_on(times, params, drive)
 
 
@@ -596,7 +598,7 @@ def equivalence_report(
     field: StaticField,
     z0,
     horizon: float,
-    dt: float = 1e-4,
+    dt: float,
     seed: int = 0,
 ) -> EquivalenceReport:
     """Integrate the charge Hamiltonian by the RK4 oracle, map through the

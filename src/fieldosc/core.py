@@ -183,7 +183,9 @@ def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
     pad = (...,) + (None,) * (z0.ndim - 1)
     for pairs, group in _pair_groups(params):
         m, w = group.mass, group.omega
-        c, s = np.cos(w * times)[pad], np.sin(w * times)
+        # at w = 0 the cosine is 1 and the sine is its argument, +-0
+        x = w * times
+        c, s = (1.0, x) if w == 0.0 else (np.cos(x)[pad], np.sin(x))
         upper, s = _sin_over_mw(group, times, s)[pad], s[pad]
         for axis in pairs:
             q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]

@@ -292,13 +292,18 @@ def rotated_product_coefficients(k1: int, k2: int, theta: float) -> tuple[dict, 
 # ----------------------------------------------------------------------
 
 
-def _fourier_multiply(values: np.ndarray, axis: int, factor) -> None:
-    """values <- ifft(fft(values) * factor) along one axis, in place on a
-    complex array the caller owns; `factor` broadcasts against the
-    transform."""
-    np.fft.fft(values, axis=axis, out=values)
-    values *= factor
-    np.fft.ifft(values, axis=axis, out=values)
+def _spectral_passes(values: np.ndarray, passes) -> None:
+    """Run each pass (forward axes, factor, inverse axes) in place on a
+    complex array the caller owns: `fft` along each forward axis, times
+    `factor`, then `ifft` along each inverse axis.  Every axis is
+    transformed alone, in the order given; `fftn`'s order is last axis
+    first.  A pass may leave an axis transformed for the next one."""
+    for forward, factor, inverse in passes:
+        for axis in forward:
+            np.fft.fft(values, axis=axis, out=values)
+        values *= factor
+        for axis in inverse:
+            np.fft.ifft(values, axis=axis, out=values)
 
 
 def spectral_shift(values: np.ndarray, grid: Grid, displacement) -> np.ndarray:
@@ -308,10 +313,9 @@ def spectral_shift(values: np.ndarray, grid: Grid, displacement) -> np.ndarray:
     out = np.array(values, dtype=complex)
     k = grid.wavenumbers()
     for axis, d in enumerate(displacement):
-        if d == 0.0:
-            continue
-        phase = np.exp(-1j * k * d)
-        _fourier_multiply(out, axis, phase.reshape((-1,) + (1,) * (out.ndim - 1 - axis)))
+        if d != 0.0:
+            ramp = np.exp(-1j * k * d).reshape((-1,) + (1,) * (out.ndim - 1 - axis))
+            _spectral_passes(out, [((axis,), ramp, (axis,))])
     return out
 
 
@@ -323,9 +327,9 @@ def _quarter_pullback(values: np.ndarray) -> np.ndarray:
 class _RotationPlan:
     """Precomputed shear phases for repeated rotations by a fixed angle:
     exact quarter turns plus a three-shear decomposition of the residual
-    (|residual| <= pi/4, so the shear tangents stay bounded).  The first
-    shear is along axis 0: `shear_spectrum` takes values already
-    transformed along that axis."""
+    (|residual| <= pi/4, so the shear tangents stay bounded).  `shears`
+    holds the three shears as spectral passes, along axes 0, 1 and 0;
+    it is empty when the residual is 0."""
 
     def __init__(self, grid: Grid, angle: float):
         if not math.isfinite(angle):
@@ -334,39 +338,28 @@ class _RotationPlan:
         self.quarters = int(round(angle / (math.pi / 2.0)))
         residual = angle - self.quarters * (math.pi / 2.0)
         self.quarters %= 4
-        if residual == 0.0:
-            self.phases = None
-        else:
+        self.shears = []
+        if residual != 0.0:
             t = -math.tan(0.5 * residual)
             s = math.sin(residual)
             k = grid.wavenumbers()
             x = grid.axis()
-            self.phases = (
-                np.exp(1j * t * np.outer(k, x)),
-                np.exp(1j * s * np.outer(x, k)),
-            )
+            shear_x = np.exp(1j * t * np.outer(k, x))
+            shear_y = np.exp(1j * s * np.outer(x, k))
+            self.shears = [((0,), shear_x, (0,)), ((1,), shear_y, (1,)), ((0,), shear_x, (0,))]
+
+    def turn(self, values: np.ndarray) -> np.ndarray:
+        """Quarter-turned samples, C-contiguous (`values` itself if no copy is needed)."""
+        for _ in range(self.quarters):
+            values = _quarter_pullback(values)
+        return np.ascontiguousarray(values)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """The rotated samples.  The shears run in place, so `values`
         must be a complex array the caller owns and may lose."""
-        out = values
-        for _ in range(self.quarters):
-            out = _quarter_pullback(out)
-        if self.quarters:
-            out = np.ascontiguousarray(out)
-        if self.phases is not None:
-            np.fft.fft(out, axis=0, out=out)
-            self.shear_spectrum(out)
+        out = self.turn(values)
+        _spectral_passes(out, self.shears)
         return out
-
-    def shear_spectrum(self, values: np.ndarray) -> None:
-        """The three shears, in place, on values already transformed along
-        axis 0; leaves the sheared samples.  Needs a plan with phases."""
-        shear_x, shear_y = self.phases
-        values *= shear_x
-        np.fft.ifft(values, axis=0, out=values)
-        _fourier_multiply(values, 1, shear_y)
-        _fourier_multiply(values, 0, shear_x)
 
 
 def spectral_rotate(values: np.ndarray, grid: Grid, angle: float) -> np.ndarray:
@@ -538,10 +531,11 @@ def split_step_evolve(
     angular-momentum term is applied as an exact per-step rotation, which
     commutes with the kinetic factor.
 
-    The transforms run one axis at a time, last axis first, as in `fftn`.
-    A rotation with no quarter turn takes the kinetic factor's output
-    still transformed along axis 0, skipping an inverse and a forward
-    transform that cancel: 8 one-axis passes a step instead of 10.
+    Each step is one list of spectral passes: the kinetic factor, then the
+    rotation's three shears, the first taking the kinetic pass's output
+    still transformed along axis 0 (8 one-axis transforms, not 10).  The
+    quarter turns, index permutations that commute with the isotropic
+    kinetic factor, run at the top of the step.
     """
     steps, h = _fixed_steps(t, dt)
     drive_rate = ham.drive.frequency_scale() if ham.drive is not None else 0.0
@@ -575,26 +569,18 @@ def split_step_evolve(
     # every step
     full_step = potential_factor(h, h) if drive_rate == 0.0 else None
 
-    angle = ham.rotation_rate * h
-    rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
-    shear_from_spectrum = (
-        rotation is not None and rotation.quarters == 0 and rotation.phases is not None
-    )
+    rotation = _RotationPlan(grid, ham.rotation_rate * h)
     axes = tuple(reversed(range(grid.dims)))
-    inverse_axes = axes[:-1] if shear_from_spectrum else axes
+    passes = [(axes, kinetic_phase, axes)]
+    if rotation.shears:
+        (_, shear, inverse), *rest = rotation.shears
+        passes = [(axes, kinetic_phase, axes[:-1]), ((), shear, inverse), *rest]
     values = np.array(psi0.values, dtype=complex)
     for f in potential_factor(0.0, 0.5 * h):
         values *= f
     for i in range(steps):
-        for axis in axes:
-            np.fft.fft(values, axis=axis, out=values)
-        values *= kinetic_phase
-        for axis in inverse_axes:
-            np.fft.ifft(values, axis=axis, out=values)
-        if shear_from_spectrum:
-            rotation.shear_spectrum(values)
-        elif rotation is not None:
-            values = rotation.apply(values)
+        values = rotation.turn(values)
+        _spectral_passes(values, passes)
         tau = h if i < steps - 1 else 0.5 * h
         if tau == h and full_step is not None:
             factors = full_step
@@ -648,9 +634,9 @@ def apply_hamiltonian(psi: WaveFunction, ham: GridHamiltonian, t: float = 0.0) -
         k = grid.wavenumbers()
         x, y = coords
         dx = np.array(values, dtype=complex)
-        _fourier_multiply(dx, 0, 1j * k[:, None])
+        _spectral_passes(dx, [((0,), 1j * k[:, None], (0,))])
         dy = np.array(values, dtype=complex)
-        _fourier_multiply(dy, 1, 1j * k)
+        _spectral_passes(dy, [((1,), 1j * k, (1,))])
         lz = -1j * hbar * (x * dy - y * dx)
         out = out - ham.rotation_rate * lz
     return out

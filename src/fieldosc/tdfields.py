@@ -121,6 +121,10 @@ def rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
     """RK4 of dR/dt = W(t) R from R(0) = I in `steps` steps, the oracle of
     `accumulated_rotation`: W R has rows -w R[1], w R[0] and 0, w the
     rate, and R steps as nine Python floats, row-major, on `rk4_steps`."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps}")
 
     def rhs(r, w):
         return [-w * r[3], -w * r[4], -w * r[5], w * r[0], w * r[1], w * r[2], 0.0, 0.0, 0.0]

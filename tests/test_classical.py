@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fieldosc import classical
+from fieldosc import classical, core
 from fieldosc.tdfields import (
     FixedAxisField,
     RotatingField,
@@ -557,6 +557,71 @@ class TestAxialPair:
         assert_same_bits(axial, planar)
 
 
+def _ufunc_block_path(params, z0, times):
+    """`block_propagate_path` with every group's cosine and sine taken by
+    `np.cos` and `np.sin`, the ω = 0 group's included."""
+    z0, times = np.asarray(z0, dtype=float), np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.empty(times.shape + z0.shape)
+    pad = (...,) + (None,) * (z0.ndim - 1)
+    for pairs, group in core._pair_groups(params):
+        m, w = group.mass, group.omega
+        c, s = np.cos(w * times)[pad], np.sin(w * times)
+        upper, s = core._sin_over_mw(group, times, s)[pad], s[pad]
+        for axis in pairs:
+            q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
+            out[..., 2 * axis] = c * q + upper * p
+            out[..., 2 * axis + 1] = -m * w * s * q + c * p
+    return out
+
+
+def _ufunc_forced_path(params, drive, times):
+    """`forced_path` with every group's cosine and sine taken by `np.cos`
+    and `np.sin`, the ω = 0 group's included."""
+    dt = times[1] - times[0]
+    k = drive(times)
+    out = np.empty((times.size, 6))
+    for pairs, group in core._pair_groups(params):
+        m, w = group.mass, group.omega
+        c, s = np.cos(w * times), np.sin(w * times)
+        upper = core._sin_over_mw(group, times, s)
+        for axis in pairs:
+            kx = k[:, axis]
+            c1 = core.cumulative_simpson(core._sin_over_mw(group, times, s, -kx), dt)
+            c2 = core.cumulative_simpson(c * kx, dt)
+            out[:, 2 * axis] = c * c1 + upper * c2
+            out[:, 2 * axis + 1] = -m * w * s * c1 + c * c2
+    return out
+
+
+class TestZeroFrequencyGroup:
+    # the ω = 0 group's cosine is 1 and its sine is its argument w t, ±0:
+    # the paths skip both ufuncs and keep every bit, the sign of each zero
+    # and negative times included
+    @pytest.mark.parametrize("omega", [0.0, 1.3])
+    @pytest.mark.parametrize("mass", [1.0, 0.7])
+    def test_block_propagate_path(self, mass, omega):
+        rng = np.random.default_rng(23)
+        z = rng.normal(size=(40, 6))
+        z[:4, :] = [[-0.0] * 6, [0.0, -0.0] * 3, [-0.5, -0.0] * 3, [0.5, 0.0] * 3]
+        times = np.concatenate([np.linspace(-3.0, 3.0, 17), [0.0, -0.0]])
+        params = OscParams(mass, omega)
+        for z0 in (z, z[5]):
+            assert_same_bits(
+                block_propagate_path(params, z0, times), _ufunc_block_path(params, z0, times)
+            )
+
+    @pytest.mark.parametrize("omega", [0.0, 1.3])
+    @pytest.mark.parametrize("end", [2.5, -2.5])
+    def test_forced_path(self, end, omega):
+        drive = Drive.sinusoids(
+            [(0.9, (0.3, -0.2, 0.7), (0.05, 0.1, -0.4)), (0.0, (0.0, 0.0, -0.3), (0.0, 0.0, 0.0))]
+        )
+        params = OscParams(0.7, omega)
+        times = np.linspace(0.0, end, 65)
+        expected = _ufunc_forced_path(params, drive, times)
+        assert_same_bits(forced_path(params, drive, times), expected)
+
+
 class TestRK4Oracle:
     def test_free_particle_exact(self):
         params = OscParams(1.0, 0.0)
@@ -840,6 +905,8 @@ _TIME_TAKERS = {
     "frame.inverse": lambda t: frame_rotation(1.0).inverse(t, np.zeros(6)),
     "frame.forward-array": lambda t: frame_rotation(1.0).forward([0.0, t], np.zeros(6)),
     "block-propagate-path": lambda t: block_propagate_path(OscParams(), np.zeros(6), t),
+    # forced_path used to return NaN rows for a NaN time
+    "forced-path": lambda t: forced_path(OscParams(), Drive.zero(), np.array([0.0, 0.5, t])),
 }
 
 

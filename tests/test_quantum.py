@@ -437,13 +437,18 @@ class TestSplitStep:
             split_step_evolve(psi, oscillator_hamiltonian(OscParams()), t, dt)
 
 
+def _reference_turn(plan, values):
+    """A rotation plan's quarter turns, out of place."""
+    for _ in range(plan.quarters):
+        values = values.T[:, ::-1]
+    return values
+
+
 def _reference_rotate(plan, values):
     """A rotation plan applied out of place, in its first form."""
-    out = values
-    for _ in range(plan.quarters):
-        out = out.T[:, ::-1]
-    if plan.phases is not None:
-        shear_x, shear_y = plan.phases
+    out = _reference_turn(plan, values)
+    if plan.shears:
+        shear_x, shear_y = plan.shears[0][1], plan.shears[1][1]
         out = np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
         out = np.fft.ifft(np.fft.fft(out, axis=1) * shear_y, axis=1)
         out = np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
@@ -453,7 +458,7 @@ def _reference_rotate(plan, values):
 def _reference_shear_spectrum(plan, values):
     """A plan's three shears, out of place, on values already transformed
     along axis 0."""
-    shear_x, shear_y = plan.phases
+    shear_x, shear_y = plan.shears[0][1], plan.shears[1][1]
     out = np.fft.ifft(values * shear_x, axis=0)
     out = np.fft.ifft(np.fft.fft(out, axis=1) * shear_y, axis=1)
     return np.fft.ifft(np.fft.fft(out, axis=0) * shear_x, axis=0)
@@ -461,10 +466,12 @@ def _reference_shear_spectrum(plan, values):
 
 def _reference_split_step(psi0, ham, t, dt, round_trip=False):
     """The split-step loop out of place: a new array for every transform
-    and factor product, factors rebuilt every step.  A rotation with no
-    quarter turn takes the kinetic factor's axis-0 spectrum; with
-    `round_trip` every rotation takes samples, the loop's first form,
-    which transforms back along axis 0 and at once forward again."""
+    and factor product, factors rebuilt every step.  A step turns by the
+    plan's quarter turns, takes the kinetic factor, and hands its axis-0
+    spectrum to the shears.  With `round_trip` a step is the loop's first
+    form: the kinetic factor back to samples, then the whole rotation,
+    quarter turns first, which transforms back along axis 0 and at once
+    forward again."""
     steps = max(1, int(round(t / dt)))
     h = t / steps
     grid = psi0.grid
@@ -491,24 +498,18 @@ def _reference_split_step(psi0, ham, t, dt, round_trip=False):
             values = values * f.reshape((-1,) + (1,) * (grid.dims - 1 - axis))
         return values
 
-    angle = ham.rotation_rate * h
-    rotation = _RotationPlan(grid, angle) if angle != 0.0 else None
+    rotation = _RotationPlan(grid, ham.rotation_rate * h)
     values = np.asarray(psi0.values, dtype=complex)
     values = apply_axis_factors(values, potential_factor(0.0, 0.5 * h))
-    shear_from_spectrum = (
-        not round_trip
-        and rotation is not None
-        and rotation.quarters == 0
-        and rotation.phases is not None
-    )
     for i in range(steps):
-        values = np.fft.fftn(values) * kinetic_phase
-        if shear_from_spectrum:
-            values = _reference_shear_spectrum(rotation, np.fft.ifft(values, axis=1))
+        if round_trip:
+            values = _reference_rotate(rotation, np.fft.ifftn(np.fft.fftn(values) * kinetic_phase))
         else:
-            values = np.fft.ifftn(values)
-            if rotation is not None:
-                values = _reference_rotate(rotation, values)
+            values = np.fft.fftn(_reference_turn(rotation, values)) * kinetic_phase
+            if rotation.shears:
+                values = _reference_shear_spectrum(rotation, np.fft.ifft(values, axis=1))
+            else:
+                values = np.fft.ifftn(values)
         tau = h if i < steps - 1 else 0.5 * h
         values = apply_axis_factors(values, potential_factor((i + 1) * h, tau))
     return values
@@ -518,6 +519,9 @@ _BIT_FIELD = StaticField(b3=2.6, e=(0.12, -0.08, 0.0))
 # frame rate 100: a 0.01 step turns by 1 rad > pi/4, so every step takes
 # a quarter turn before its shears
 _QUARTER_FIELD = StaticField(b3=200.0, e=(0.3, 0.1, 0.0))
+# frame rate 10 pi: a 0.05 step turns by pi/2 exactly, a quarter turn
+# with no shears
+_EXACT_QUARTER_FIELD = StaticField(b3=20.0 * math.pi, e=(0.3, 0.1, 0.0))
 _SPLIT_CASES = {
     "oscillator": (oscillator_hamiltonian(_BIT_FIELD.osc_params), 1e-3),
     "sinusoid-driven": (
@@ -526,6 +530,7 @@ _SPLIT_CASES = {
     ),
     "planar": (planar_field_hamiltonian(_BIT_FIELD), 1e-3),
     "planar-quarter-turn": (planar_field_hamiltonian(_QUARTER_FIELD), 1e-2),
+    "planar-exact-quarter-turn": (planar_field_hamiltonian(_EXACT_QUARTER_FIELD), 5e-2),
 }
 
 
@@ -560,15 +565,34 @@ class TestSplitStepBits:
             assert np.array_equal(np.signbit(part(driven)), np.signbit(part(plain)))
 
     def test_quarter_turn_case_takes_both_rotation_paths(self):
+        # a quarter turn and three shears every step
         ham, dt = _SPLIT_CASES["planar-quarter-turn"]
         plan = _RotationPlan(Grid(dims=2, n=32, half_width=8.0), ham.rotation_rate * dt)
-        assert plan.quarters != 0 and plan.phases is not None
+        assert plan.quarters != 0 and len(plan.shears) == 3
 
-    @pytest.mark.parametrize("n, t", [(32, 0.2), (64, 0.8)])
-    def test_planar_run_within_roundoff_of_round_trip(self, n, t):
+    @pytest.mark.parametrize("t", [0.2, 0.05, 0.1])
+    def test_exact_quarter_turn_case_has_no_shears(self, t):
+        # at every horizon the tests run it: four 0.05 steps, one or two
+        ham, dt = _SPLIT_CASES["planar-exact-quarter-turn"]
+        steps = max(1, int(round(t / dt)))
+        plan = _RotationPlan(Grid(dims=2, n=32, half_width=8.0), ham.rotation_rate * (t / steps))
+        assert plan.quarters == 1 and plan.shears == []
+
+    @pytest.mark.parametrize(
+        "kind, n, t",
+        [
+            ("planar", 32, 0.2),
+            ("planar", 64, 0.8),
+            ("planar-quarter-turn", 32, 0.2),
+            ("planar-exact-quarter-turn", 32, 0.2),
+        ],
+        ids=["32-0.2", "64-0.8", "quarter-turn-32-0.2", "exact-quarter-turn-32-0.2"],
+    )
+    def test_planar_run_within_roundoff_of_round_trip(self, kind, n, t):
         # skipping the axis-0 inverse and forward transforms between the
-        # kinetic factor and the first shear changes only roundoff
-        ham, dt = _SPLIT_CASES["planar"]
+        # kinetic factor and the first shear, and taking the quarter turns
+        # before the kinetic factor, change only roundoff
+        ham, dt = _SPLIT_CASES[kind]
         grid = Grid(dims=2, n=n, half_width=8.0)
         psi0 = gaussian_wavepacket(grid, (0.5, -0.3), (0.3, 0.1), 0.8, hbar=1.3)
         got = split_step_evolve(psi0, ham, t, dt).values
@@ -577,7 +601,13 @@ class TestSplitStepBits:
 
     @pytest.mark.parametrize(
         "kind, dims, per_step",
-        [("planar", 2, 8), ("planar-quarter-turn", 2, 10), ("oscillator", 2, 4), ("sinusoid-driven", 1, 2)],
+        [
+            ("planar", 2, 8),
+            ("planar-quarter-turn", 2, 8),
+            ("planar-exact-quarter-turn", 2, 4),
+            ("oscillator", 2, 4),
+            ("sinusoid-driven", 1, 2),
+        ],
     )
     def test_one_axis_transforms_per_step(self, monkeypatch, kind, dims, per_step):
         counts = collections.Counter()

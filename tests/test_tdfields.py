@@ -156,6 +156,25 @@ def test_fields_reject_bad_mass(mass):
             make()
 
 
+@pytest.mark.parametrize(
+    "t, steps, message",
+    [
+        (3.0, -5, "steps must be an integer >= 1"),
+        (3.0, 0, "steps must be an integer >= 1"),
+        (3.0, 2.5, "steps must be an integer >= 1"),
+        (math.nan, 5, "t must be finite"),
+        (math.inf, 5, "t must be finite"),
+    ],
+    ids=["negative-steps", "zero-steps", "fractional-steps", "nan", "inf"],
+)
+def test_rotation_ode_checks_its_inputs(t, steps, message):
+    # steps = -5 used to return the identity, steps = 0 to raise
+    # ZeroDivisionError, and t = nan or inf to return a NaN matrix
+    field = FixedAxisField(b3=lambda t: 1.0 + 0.0 * t)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        rotation_ode(field, t, steps)
+
+
 class TestFixedAxisRotation:
     def test_constant_field_reduces_to_plain_rotation(self):
         field = FixedAxisField(b3=lambda t: np.full_like(np.asarray(t, float), 1.4),
