@@ -283,10 +283,14 @@ def h2_evaluator(params: OscParams, drive: Drive) -> Callable:
 # ----------------------------------------------------------------------
 
 
-def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.ndarray:
-    """Forced response at every grid time: Z_nh(t) = U(t) * int_0^t U(-s) K(s) ds
-    evaluated with a cumulative Simpson rule on the uniform grid; the axial
-    pair's kernel is the oscillator's at omega = 0 (`_pair_groups`)."""
+def _forced_path_on(
+    times: np.ndarray, params: OscParams, drive: Drive
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forced trajectory Z_nh(t) = U(t) * int_0^t U(-s) K(s) ds (the moving
+    origin) at every grid time, and the action along it, the integral of
+    the Lagrangian dual to the driven-oscillator Hamiltonian: cumulative
+    Simpson rules on the uniform grid, from one evaluation of the drive.
+    The axial pair's kernel is the oscillator's at omega = 0 (`_pair_groups`)."""
     n = times.size - 1
     if n < 2 or n % 2:
         raise ValueError("forced path needs an even panel count >= 2")
@@ -305,32 +309,19 @@ def _forced_path_on(times: np.ndarray, params: OscParams, drive: Drive) -> np.nd
             c2 = cumulative_simpson(c * kx, dt)
             out[:, 2 * axis] = c * c1 + upper * c2
             out[:, 2 * axis + 1] = -m * w * s * c1 + c * c2
-    return out
-
-
-def forced_path(params: OscParams, drive: Drive, times: np.ndarray) -> np.ndarray:
-    """Zero-initial-data response sampled on a uniform time grid."""
-    times = _as_times(times)
-    return _forced_path_on(times, params, drive)
-
-
-def _forced_path_and_action(
-    times: np.ndarray, params: OscParams, drive: Drive
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forced trajectory (the moving origin) at every grid time, and the
-    action accumulated along it: the time integral of the Lagrangian dual
-    to the driven-oscillator Hamiltonian.  One forced-path pass gives both."""
-    z_nh = _forced_path_on(times, params, drive)
     m, w = params.mass, params.omega
-    q = z_nh[:, 0::2]
-    p = z_nh[:, 1::2]
-    k = drive(times)
+    q, p = out[:, 0::2], out[:, 1::2]
     lagrangian = (
         np.sum(p * p, axis=-1) / (2.0 * m)
         - 0.5 * m * w * w * (q[:, 0] ** 2 + q[:, 1] ** 2)
         + np.sum(q * k, axis=-1)
     )
-    return z_nh, cumulative_simpson(lagrangian, times[1] - times[0])
+    return out, cumulative_simpson(lagrangian, dt)
+
+
+def forced_path(params: OscParams, drive: Drive, times: np.ndarray) -> np.ndarray:
+    """Zero-initial-data response sampled on a uniform time grid."""
+    return _forced_path_on(_as_times(times), params, drive)[0]
 
 
 # ----------------------------------------------------------------------
@@ -414,7 +405,7 @@ def moving_origin_map(
     @functools.lru_cache(maxsize=1)
     def at(t: float) -> tuple[np.ndarray, float]:
         grid = np.linspace(0.0, t, simpson_panels(panels_per_unit, t) + 1)
-        path, action = _forced_path_and_action(grid, params, drive)
+        path, action = _forced_path_on(grid, params, drive)
         origin = path[-1].copy()
         origin.flags.writeable = False
         return origin, float(action[-1])
@@ -601,19 +592,21 @@ def equivalence_report(
     dt: float,
     seed: int = 0,
 ) -> EquivalenceReport:
-    """Integrate the charge Hamiltonian by the RK4 oracle, map through the
-    rotating frame and the moving origin, and compare against the plain
-    oscillator propagator."""
+    """Integrate the charge Hamiltonian by the RK4 oracle over 0 < horizon
+    < inf, map through the rotating frame and the moving origin, and
+    compare against the plain oscillator propagator."""
     z0 = _as_state(z0)
     params = field.osc_params
     frame = frame_rotation(field.frame_rate)
     drive = field.rotated_drive()
 
     steps = max(2, _fixed_steps(horizon, dt)[0])
+    if horizon == 0.0:  # the oracle would be handed a step of 0
+        raise ValueError(f"horizon must be > 0, got {horizon}")
     steps += steps % 2
     times, oracle = rk4_hamiltonian_flow(h1_evaluator(field), z0, horizon, horizon / steps)
 
-    origin_path, phase_values = _forced_path_and_action(times, params, drive)
+    origin_path, phase_values = _forced_path_on(times, params, drive)
     mapped = frame.forward(times, oracle) - origin_path
     reference = block_propagate_path(params, z0, times)
     max_deviation = float(np.max(np.abs(mapped - reference)))

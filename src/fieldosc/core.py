@@ -73,6 +73,13 @@ def _fixed_steps(t: float, dt: float) -> tuple[int, float]:
     return steps, t / steps
 
 
+def _check_steps(steps, name: str) -> None:
+    """The package's one step-count check: `steps`, called `name` in the
+    message, is an integer >= 1 (a float such as 3.0 is not)."""
+    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {steps}")
+
+
 def _as_times(t) -> np.ndarray:
     """The package's one time check: t as a float array of finite times."""
     times = np.asarray(t, dtype=float)

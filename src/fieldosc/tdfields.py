@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    _PANELS_PER_UNIT, _as_state, _check_mass, cross_matrix, cumulative_simpson, rk4_steps,
-    rotation_about_z, simpson_panels,
+    _PANELS_PER_UNIT, _as_state, _check_mass, _check_steps, cross_matrix, cumulative_simpson,
+    rk4_steps, rotation_about_z, simpson_panels,
 )
 from .classical import CanonicalMap, Drive, frame_rotation
 
@@ -123,8 +123,7 @@ def rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
     rate, and R steps as nine Python floats, row-major, on `rk4_steps`."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps}")
+    _check_steps(steps, "steps")
 
     def rhs(r, w):
         return [-w * r[3], -w * r[4], -w * r[5], w * r[0], w * r[1], w * r[2], 0.0, 0.0, 0.0]
@@ -351,12 +350,11 @@ def _monodromy_matrices(
     Runs vectorized over the batch, on the four matrix entries updated
     entrywise: a matrix product would turn 0 * inf into nan where a
     runaway row overflows.  The one check of both entry points:
-    0 < period < inf, `n_steps` >= 1 and every stage's w2 finite.
+    0 < period < inf, `n_steps` an integer >= 1 and every stage's w2 finite.
     """
     if not (0.0 < period < math.inf):
         raise ValueError(f"period must be positive and finite, got {period}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    _check_steps(n_steps, "n_steps")
 
     def neg_w2(times):
         values = np.negative(omega_sq_values(times), dtype=float)

@@ -622,6 +622,79 @@ class TestZeroFrequencyGroup:
         assert_same_bits(forced_path(params, drive, times), expected)
 
 
+def _two_call_path_and_action(times, params, drive):
+    """The moving origin and its action as two calls made them: the forced
+    path from one evaluation of the drive, then the Lagrangian along it
+    from a second evaluation on the same grid."""
+    dt = times[1] - times[0]
+    k = drive(times)
+    path = np.empty((times.size, 6))
+    for pairs, group in core._pair_groups(params):
+        m, w = group.mass, group.omega
+        x = w * times
+        c, s = (1.0, x) if w == 0.0 else (np.cos(x), np.sin(x))
+        upper = core._sin_over_mw(group, times, s)
+        for axis in pairs:
+            kx = k[:, axis]
+            c1 = core.cumulative_simpson(core._sin_over_mw(group, times, s, -kx), dt)
+            c2 = core.cumulative_simpson(c * kx, dt)
+            path[:, 2 * axis] = c * c1 + upper * c2
+            path[:, 2 * axis + 1] = -m * w * s * c1 + c * c2
+    m, w = params.mass, params.omega
+    q, p = path[:, 0::2], path[:, 1::2]
+    k = drive(times)
+    lagrangian = (
+        np.sum(p * p, axis=-1) / (2.0 * m)
+        - 0.5 * m * w * w * (q[:, 0] ** 2 + q[:, 1] ** 2)
+        + np.sum(q * k, axis=-1)
+    )
+    return path, core.cumulative_simpson(lagrangian, times[1] - times[0])
+
+
+_FIELD = StaticField(b3=2.1, e=(0.1, -0.2, 0.15), charge=0.8, mass=1.3)
+_PATH_CASES = {
+    "oscillator": (OscParams(0.7, 1.3), Drive.sinusoids(
+        [(0.9, (0.3, -0.2, 0.7), (0.05, 0.1, -0.4)), (0.0, (0.0, 0.0, -0.3), (0.0, 0.0, 0.0))]
+    )),
+    "free": (OscParams(1.2, 0.0), Drive.sinusoids(
+        [(2.2, (0.1, 0.0, 0.25), (0.0, 0.4, 0.6)), (0.0, (0.2, -0.1, 0.0), (0.0, 0.0, 0.0))]
+    )),
+    "rotating": (_FIELD.osc_params, _FIELD.rotated_drive()),
+}
+
+
+class TestForcedPathAndAction:
+    # the moving origin and its action come from one function and one
+    # evaluation of the drive, bit for bit the two-call form
+    @pytest.mark.parametrize("end", [3.0, -1.5])
+    @pytest.mark.parametrize("case", sorted(_PATH_CASES))
+    def test_matches_two_call_form(self, case, end):
+        params, drive = _PATH_CASES[case]
+        times = np.linspace(0.0, end, 129)
+        path, action = classical._forced_path_on(times, params, drive)
+        expected_path, expected_action = _two_call_path_and_action(times, params, drive)
+        assert_same_bits(path, expected_path)
+        assert_same_bits(action, expected_action)
+        assert_same_bits(forced_path(params, drive, times), expected_path)
+
+    @pytest.mark.parametrize("case", sorted(_PATH_CASES))
+    def test_drive_evaluated_once(self, case):
+        params, drive = _PATH_CASES[case]
+        calls = []
+
+        def counted(t):
+            calls.append(np.shape(t))
+            return drive(t)
+
+        classical._forced_path_on(np.linspace(0.0, 2.0, 65), params, counted)
+        assert calls == [(65,)]
+        # a moving origin reads the drive once for each new time
+        mover = moving_origin_map(params, counted, QUAD)
+        mover.forward(1.5, np.zeros(6))
+        mover.phase_A(1.5)
+        assert len(calls) == 2
+
+
 class TestRK4Oracle:
     def test_free_particle_exact(self):
         params = OscParams(1.0, 0.0)
@@ -779,12 +852,13 @@ class TestEndToEndEquivalence:
             (1.0, math.nan, "^dt must"),
             (math.nan, 1e-3, "^t must"),
             (math.inf, 1e-3, "^t must"),
+            (0.0, 1e-3, "^horizon must"),
         ],
     )
     def test_bad_horizon_or_step_rejected(self, horizon, dt, message):
         # the report takes its step count from the integrators' step rule:
-        # dt = 0 used to raise ZeroDivisionError, and a NaN "cannot
-        # convert float NaN to integer"
+        # dt = 0 used to raise ZeroDivisionError, a NaN "cannot convert
+        # float NaN to integer", and horizon = 0 a message naming dt
         with pytest.raises(ValueError, match=message):
             equivalence_report(StaticField(b3=1.0), np.zeros(6), horizon, dt=dt)
 

@@ -219,6 +219,17 @@ class TestRunners:
             report = run(parse_scenario(path))
             assert report.passed, [c for c in report.checks if not c.passed]
 
+    @pytest.mark.parametrize("b1, checked", [(0.0, False), (0.4, True)], ids=["no-speed", "speed"])
+    def test_case2_checks_the_period_only_when_there_is_one(self, tmp_path, b1, checked):
+        # at b1 = 0 the Coriolis speed is 0 and the stiffness constant: the
+        # period check used to run on a made-up period of 2 pi and pass
+        path = write(tmp_path, "c2.cfg", f"mode = case2\nb1 = {b1}\nb3 = 2\nalpha = -1\n")
+        report = run(parse_scenario(path))
+        assert report.passed
+        names = [c.name for c in report.checks]
+        assert ("stiffness-period" in names) == checked
+        assert len(names) == 5 + checked
+
     def test_case1_ode_defect_equals_reference_loop(self, tmp_path):
         path = write(tmp_path, "c1.cfg", "mode = case1\ntime = 2.0\node_steps = 3000\n")
         report = run(parse_scenario(path))

@@ -162,10 +162,11 @@ def test_fields_reject_bad_mass(mass):
         (3.0, -5, "steps must be an integer >= 1"),
         (3.0, 0, "steps must be an integer >= 1"),
         (3.0, 2.5, "steps must be an integer >= 1"),
+        (3.0, 3.0, "steps must be an integer >= 1"),
         (math.nan, 5, "t must be finite"),
         (math.inf, 5, "t must be finite"),
     ],
-    ids=["negative-steps", "zero-steps", "fractional-steps", "nan", "inf"],
+    ids=["negative-steps", "zero-steps", "fractional-steps", "float-steps", "nan", "inf"],
 )
 def test_rotation_ode_checks_its_inputs(t, steps, message):
     # steps = -5 used to return the identity, steps = 0 to raise
@@ -461,15 +462,18 @@ class TestMonodromy:
             )
 
     def test_n_steps_must_be_positive(self):
-        # both entry points share the check; -5 used to give trace 2.0 and
-        # "marginal" everywhere, 0 a ZeroDivisionError
-        for n_steps in (0, -5):
-            with pytest.raises(ValueError, match="n_steps"):
+        # every entry point shares the check; -5 used to give trace 2.0 and
+        # "marginal" everywhere, 0 a ZeroDivisionError, and 2.5 or 3.0 a
+        # TypeError from inside the RK4 loop
+        for n_steps in (0, -5, 2.5, 3.0):
+            with pytest.raises(ValueError, match="^n_steps must be an integer >= 1"):
                 hill_monodromy(mathieu_hill(1.0, 0.1), n_steps)
-            with pytest.raises(ValueError, match="n_steps"):
+            with pytest.raises(ValueError, match="^n_steps must be an integer >= 1"):
                 stability_map(
                     lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t), math.pi, [1.0], [0.1], n_steps
                 )
+            with pytest.raises(ValueError, match="^n_steps must be an integer >= 1"):
+                bisect_stability_boundary(lambda a: mathieu_hill(a, 0.1), 0.7, 1.0, 1e-3, n_steps)
 
     def test_runaway_flagged_unstable(self):
         sys = HillSystem(
