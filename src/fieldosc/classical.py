@@ -297,18 +297,13 @@ def _forced_path_on(
     dt = times[1] - times[0]
     k = drive(times)  # (N+1, 3)
     out = np.empty((times.size, 6))
-    for pairs, group in _pair_groups(params):
-        m, w = group.mass, group.omega
-        # at w = 0 the cosine is 1 and the sine is its argument, +-0
-        x = w * times
-        c, s = (1.0, x) if w == 0.0 else (np.cos(x), np.sin(x))
-        upper = _sin_over_mw(group, times, s)
+    for pairs, group, c, s, upper, lower in _pair_groups(params, times):
         for axis in pairs:
             kx = k[:, axis]
             c1 = cumulative_simpson(_sin_over_mw(group, times, s, -kx), dt)
             c2 = cumulative_simpson(c * kx, dt)
             out[:, 2 * axis] = c * c1 + upper * c2
-            out[:, 2 * axis + 1] = -m * w * s * c1 + c * c2
+            out[:, 2 * axis + 1] = lower * c1 + c * c2
     m, w = params.mass, params.omega
     q, p = out[:, 0::2], out[:, 1::2]
     lagrangian = (

@@ -169,35 +169,36 @@ def _sin_over_mw(params: OscParams, t, s, factor=1.0):
     return np.where(small, limit, s * factor / (m * w))
 
 
-def _pair_groups(params: OscParams):
-    """(pairs, params) groups: the planar pairs 0 and 1 oscillate at omega,
-    the axial pair 2 is the oscillator at omega = 0, the free particle."""
-    return (((0, 1), params), ((2,), OscParams(params.mass, 0.0)))
+def _pair_groups(params: OscParams, times):
+    """Yield (pairs, group, c, s, upper, lower): the planar pairs 0 and 1
+    oscillate at omega, the axial pair 2 is the oscillator at omega = 0,
+    the free particle, and [[c, upper], [lower, c]] is the group's block
+    [[cos wt, sin(wt)/(m w)], [-m w sin wt, cos wt]] at `times`, with
+    s = sin wt.  At w = 0 the cosine is 1 and the sine is its argument,
+    +-0; at w = 0 and at subnormal w, `_sin_over_mw` takes the upper
+    entry to its limit t/m, which gives the free block [[1, t/m], [0, 1]]."""
+    for pairs, group in (((0, 1), params), ((2,), OscParams(params.mass, 0.0))):
+        m, w = group.mass, group.omega
+        x = w * times
+        c, s = (1.0, x) if w == 0.0 else (np.cos(x), np.sin(x))
+        yield pairs, group, c, s, _sin_over_mw(group, times, s), -m * w * s
 
 
 def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
     """Homogeneous orbit U(t) z0 at many times; z0 may be batched (..., 6).
 
-    U(t) has the oscillator block [[cos wt, sin(wt)/(m w)], [-m w sin wt,
-    cos wt]] on every pair, at w = 0 on the axial one (`_pair_groups`).
-    The formula is one for every w >= 0: at w = 0 and at subnormal w,
-    `_sin_over_mw` takes the upper entry to its limit t/m, which gives the
-    free block [[1, t/m], [0, 1]].  Returns shape (len(times), ..., 6).
+    U(t) has the oscillator block of `_pair_groups` on every pair, at
+    w = 0 on the axial one.  Returns shape (len(times), ..., 6).
     """
     z0 = _as_state(z0)
     times = np.atleast_1d(_as_times(times))
     out = np.empty(times.shape + z0.shape)
-    pad = (...,) + (None,) * (z0.ndim - 1)
-    for pairs, group in _pair_groups(params):
-        m, w = group.mass, group.omega
-        # at w = 0 the cosine is 1 and the sine is its argument, +-0
-        x = w * times
-        c, s = (1.0, x) if w == 0.0 else (np.cos(x)[pad], np.sin(x))
-        upper, s = _sin_over_mw(group, times, s)[pad], s[pad]
+    padded = times[(...,) + (None,) * (z0.ndim - 1)]  # broadcast over the batch axes
+    for pairs, _, c, _, upper, lower in _pair_groups(params, padded):
         for axis in pairs:
             q, p = z0[..., 2 * axis], z0[..., 2 * axis + 1]
             out[..., 2 * axis] = c * q + upper * p
-            out[..., 2 * axis + 1] = -m * w * s * q + c * p
+            out[..., 2 * axis + 1] = lower * q + c * p
     return out
 
 
@@ -214,7 +215,7 @@ def energy_form_6x6(params: OscParams) -> np.ndarray:
     propagator conjugates it to itself, U(t)^T H U(t) = H, which is the
     invariance behind the conserved homogeneous-orbit energy."""
     diagonal = np.empty(6)
-    for pairs, group in _pair_groups(params):
+    for pairs, group, *_ in _pair_groups(params, np.empty(0)):  # groups only, no entries
         m, w = group.mass, group.omega
         for axis in pairs:
             diagonal[2 * axis : 2 * axis + 2] = m * w * w, 1.0 / m

@@ -131,7 +131,10 @@ class WaveFunction:
         return math.sqrt(self.grid.cell_volume * float(np.sum(np.abs(self.values) ** 2)))
 
     def normalized(self) -> "WaveFunction":
-        return replace(self, values=self.values / self.norm())
+        norm = self.norm()
+        if not (0 < norm < math.inf):
+            raise ValueError(f"cannot normalize a wavefunction of norm {norm} on its grid")
+        return replace(self, values=self.values / norm)
 
     def inner(self, other: "WaveFunction") -> complex:
         return complex(self.grid.cell_volume * np.sum(np.conj(self.values) * other.values))

@@ -129,8 +129,11 @@ def rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
         return [-w * r[3], -w * r[4], -w * r[5], w * r[0], w * r[1], w * r[2], 0.0, 0.0, 0.0]
 
     r = np.eye(3).ravel().tolist()
-    for _, r in rk4_steps(rhs, lambda times: field.rate(times).tolist(), r, t / steps, steps):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a ValueError
+        for _, r in rk4_steps(rhs, lambda times: field.rate(times).tolist(), r, t / steps, steps):
+            pass
+    if not all(map(math.isfinite, r)):
+        raise ValueError("rotation angle must be finite: q*B3/m is not finite on [0, t]")
     return np.array(r).reshape(3, 3)
 
 
@@ -468,6 +471,8 @@ def bisect_stability_boundary(
     """
     if not (0 < tol < math.inf):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not lo < hi:
+        raise ValueError(f"bracket must have lo < hi, got [{lo:g}, {hi:g}]")
 
     def excess(p: float) -> float:
         return abs(hill_monodromy(make_system(p), n_steps).trace) - 2.0

@@ -563,7 +563,7 @@ def _ufunc_block_path(params, z0, times):
     z0, times = np.asarray(z0, dtype=float), np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty(times.shape + z0.shape)
     pad = (...,) + (None,) * (z0.ndim - 1)
-    for pairs, group in core._pair_groups(params):
+    for pairs, group, *_ in core._pair_groups(params, 0.0):
         m, w = group.mass, group.omega
         c, s = np.cos(w * times)[pad], np.sin(w * times)
         upper, s = core._sin_over_mw(group, times, s)[pad], s[pad]
@@ -580,7 +580,7 @@ def _ufunc_forced_path(params, drive, times):
     dt = times[1] - times[0]
     k = drive(times)
     out = np.empty((times.size, 6))
-    for pairs, group in core._pair_groups(params):
+    for pairs, group, *_ in core._pair_groups(params, 0.0):
         m, w = group.mass, group.omega
         c, s = np.cos(w * times), np.sin(w * times)
         upper = core._sin_over_mw(group, times, s)
@@ -609,6 +609,11 @@ class TestZeroFrequencyGroup:
             assert_same_bits(
                 block_propagate_path(params, z0, times), _ufunc_block_path(params, z0, times)
             )
+        # times of any shape, padded once for the batch axes of the states
+        grid, batch = times[-15:].reshape(3, 5), z[:24].reshape(4, 6, 6)
+        assert_same_bits(
+            block_propagate_path(params, batch, grid), _ufunc_block_path(params, batch, grid)
+        )
 
     @pytest.mark.parametrize("omega", [0.0, 1.3])
     @pytest.mark.parametrize("end", [2.5, -2.5])
@@ -629,7 +634,7 @@ def _two_call_path_and_action(times, params, drive):
     dt = times[1] - times[0]
     k = drive(times)
     path = np.empty((times.size, 6))
-    for pairs, group in core._pair_groups(params):
+    for pairs, group, *_ in core._pair_groups(params, 0.0):
         m, w = group.mass, group.omega
         x = w * times
         c, s = (1.0, x) if w == 0.0 else (np.cos(x), np.sin(x))

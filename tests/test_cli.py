@@ -527,6 +527,22 @@ class TestMain:
         out = capsys.readouterr().out.splitlines()
         assert out[0].startswith("[FAIL] ovf: error (ValueError: rotation angle must be finite")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_packet_off_the_grid_is_one_error_line_without_warnings(self, tmp_path, capsys):
+        # the packet underflows to zero on the grid: normalizing it used to
+        # divide by a norm of 0, warn twice and fail as "amplitudes must be finite"
+        path = write(
+            tmp_path,
+            "off.cfg",
+            "mode = quantum-pipeline\nb3 = 2.0\ngrid_n = 64\ncenter = 40.0, 0.0\n",
+        )
+        assert main(["run", str(path), "--check-only"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == (
+            "[FAIL] off: error (ValueError: "
+            "cannot normalize a wavefunction of norm 0.0 on its grid)"
+        )
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_sweep_step_count_is_a_usage_error(self, value):
         script = Path(__file__).resolve().parents[1] / "scripts" / "mathieu_stability_sweep.py"

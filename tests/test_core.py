@@ -183,6 +183,13 @@ class TestBlockPropagator:
         h = energy_form_6x6(params)
         assert np.max(np.abs(u.T @ h @ u - h)) <= 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_energy_form_evaluates_no_block_entry(self):
+        # m w overflows: a block entry -m w sin(0) would be -inf * 0, a NaN
+        # with a warning, though the form needs only m w^2 and 1/m
+        diagonal = np.diag(energy_form_6x6(OscParams(1e200, 1e200)))
+        assert diagonal.tolist() == [math.inf, 1e-200, math.inf, 1e-200, 0.0, 1e-200]
+
 
 class TestSimpson:
     def test_exact_on_cubic(self):

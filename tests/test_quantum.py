@@ -964,3 +964,13 @@ class TestGuards:
     def test_zero_wavefunction_has_no_boundary_mass(self):
         zero = WaveFunction(grid=_LINE, values=np.zeros(16, dtype=complex))
         assert zero.boundary_mass() == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amplitude", [0.0, 1e-170], ids=["zero", "underflow"])
+    def test_normalizing_needs_a_positive_norm(self, amplitude):
+        # |1e-170|^2 underflows to 0: both used to divide by a norm of 0,
+        # with numpy warnings and a wavefunction of NaN amplitudes
+        tiny = WaveFunction(grid=_LINE, values=np.full(16, amplitude, dtype=complex))
+        message = r"^cannot normalize a wavefunction of norm 0\.0 on its grid$"
+        with pytest.raises(ValueError, match=message):
+            tiny.normalized()

@@ -228,6 +228,22 @@ class TestFixedAxisRotation:
         with pytest.raises(ValueError, match="angle must be finite"):
             accumulated_rotation(field, 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field",
+        [
+            FixedAxisField(b3=lambda t: np.where(t > 1.0, np.inf, 2.0)),
+            FixedAxisField(b3=lambda t: np.full_like(np.asarray(t, float), 1e308), charge=10.0),
+        ],
+        ids=["infinite-after-1", "rate-overflows"],
+    )
+    def test_ode_rejects_a_rate_it_cannot_integrate(self, field):
+        # the infinite field used to give NaN rows and no error, and the
+        # overflowing rate a numpy warning; the closed form rejects both
+        for rotation in (accumulated_rotation, lambda f, t: rotation_ode(f, t, 100)):
+            with pytest.raises(ValueError, match="^rotation angle must be finite: q\\*B3/m"):
+                rotation(field, 2.0)
+
     def test_time_function_must_broadcast(self):
         field = FixedAxisField(b3=lambda t: 2.0)
         with pytest.raises(ValueError, match="shape"):
@@ -599,6 +615,20 @@ class TestMathieuStability:
         # a = 0.3 and 0.5 both lie below the first tongue, where |trace| < 2
         with pytest.raises(ValueError, match=r"no sign change in \[0.3, 0.5\]"):
             bisect_stability_boundary(lambda a: mathieu_hill(a, 0.1), 0.3, 0.5, n_steps=256)
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.7), (0.85, 0.85), (math.nan, 1.0)])
+    def test_bisection_needs_an_ordered_bracket(self, lo, hi):
+        # [1.0, 0.7] used to return its unrefined midpoint 0.85: the
+        # bracket is refused before any monodromy runs
+        made = []
+
+        def make_system(a):
+            made.append(a)
+            return mathieu_hill(a, 0.1)
+
+        with pytest.raises(ValueError, match=r"^bracket must have lo < hi"):
+            bisect_stability_boundary(make_system, lo, hi, tol=1e-3, n_steps=256)
+        assert made == []
 
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
     def test_bisection_needs_positive_finite_tol(self, tol):
