@@ -441,18 +441,22 @@ def solve_driven(
 
 def _one_state_velocity(s: list, energy: Callable) -> list:
     """Sigma grad H at one state, a list of six Python floats, in floats
-    and bit for bit the batch path: each row displaces one component of
-    two lists, `up` adding +0.0 to the others (a -0.0 becomes +0.0) and
-    `down` keeping them, as state + step * (+-eye) does, then puts the
-    component back."""
+    and bit for bit the batch path: row r hands `energy` two fresh lists
+    that displace component r ^ 1 by +-step, the plus list adding +0.0 to
+    the others (a -0.0 becomes +0.0) and the minus list keeping them, as
+    state + step * (+-eye) does."""
+    x1, p1, x2, p2, x3, p3 = s
+    u1, v1, u2, v2, u3, v3 = x1 + 0.0, p1 + 0.0, x2 + 0.0, p2 + 0.0, x3 + 0.0, p3 + 0.0
     scale = _FD_STEP * (1.0 + max(map(abs, s)))
-    up, down, out = [c + 0.0 for c in s], s.copy(), []
-    for c, sign in enumerate((2.0, -2.0, 2.0, -2.0, 2.0, -2.0)):
-        j = c ^ 1
-        up[j], down[j] = s[j] + scale, s[j] - scale
-        out.append((energy(up) - energy(down)) / (scale * sign))
-        up[j], down[j] = s[j] + 0.0, s[j]
-    return out
+    q, p = scale * 2.0, scale * -2.0  # a Q row divides by +2 step, a P row by -2 step
+    return [
+        (energy([u1, p1 + scale, u2, v2, u3, v3]) - energy([x1, p1 - scale, x2, p2, x3, p3])) / q,
+        (energy([x1 + scale, v1, u2, v2, u3, v3]) - energy([x1 - scale, p1, x2, p2, x3, p3])) / p,
+        (energy([u1, v1, u2, p2 + scale, u3, v3]) - energy([x1, p1, x2, p2 - scale, x3, p3])) / q,
+        (energy([u1, v1, x2 + scale, v2, u3, v3]) - energy([x1, p1, x2 - scale, p2, x3, p3])) / p,
+        (energy([u1, v1, u2, v2, u3, p3 + scale]) - energy([x1, p1, x2, p2, x3, p3 - scale])) / q,
+        (energy([u1, v1, u2, v2, x3 + scale, v3]) - energy([x1, p1, x2, p2, x3 - scale, p3])) / p,
+    ]
 
 
 def _batch_velocity(batch: tuple) -> Callable:
@@ -499,14 +503,13 @@ def rk4_hamiltonian_flow(
     6 + r displaces it by -step, so the differences come out in the order
     of Sigma grad H.  For one state, z is a list of six Python floats,
     `energy` is called once per row, and the state steps as a list of
-    floats; the gradient's rows reuse two lists, so `energy` must not
-    keep the list it is handed.  For a batch, z is a list of six
-    contiguous (12,) + batch arrays, the components of one (6, 12) +
-    batch buffer, and `energy` is called once per stage.  Both run on
-    `core.rk4_steps`, whose two forms round alike, so they give the same
-    bits when `energy` uses only + - * /: numpy's vectorised power and
-    transcendental functions may round otherwise than the C library's,
-    which a Python float takes.
+    floats; each gradient row hands `energy` two fresh lists, which it
+    may keep.  For a batch, z is a list of six contiguous (12,) + batch
+    arrays, the components of one (6, 12) + batch buffer, and `energy`
+    is called once per stage.  Both run on `core.rk4_steps`, whose two
+    forms round alike, so they give the same bits when `energy` uses only
+    + - * /: numpy's vectorised power and transcendental functions may
+    round otherwise than the C library's, which a Python float takes.
 
     Returns (times, path): the steps+1 times from 0 to t, and the states
     there, shape (steps+1,) + z0.shape, so path[-1] is the state at t.  H

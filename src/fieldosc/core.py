@@ -53,6 +53,8 @@ class OscParams:
         _check_mass(self.mass)
         if not (self.omega >= 0 and math.isfinite(self.omega)):
             raise ValueError(f"omega must be >= 0 and finite, got {self.omega}")
+        if not math.isfinite(self.mass * self.omega):  # -m w sin(wt) would be -inf * 0 at t = 0
+            raise ValueError(f"mass * omega must be finite, got {self.mass} * {self.omega}")
 
 
 def _check_mass(mass: float) -> None:

@@ -120,21 +120,23 @@ def accumulated_rotation(field: FixedAxisField, t: float) -> np.ndarray:
 def rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
     """RK4 of dR/dt = W(t) R from R(0) = I in `steps` steps, the oracle of
     `accumulated_rotation`: W R has rows -w R[1], w R[0] and 0, w the
-    rate, and R steps as nine Python floats, row-major, on `rk4_steps`."""
+    rate, so R's third row and column stay (0, 0, 1) and its planar block
+    [[a, b], [c, d]] steps alone, as four Python floats on `rk4_steps`."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _check_steps(steps, "steps")
 
     def rhs(r, w):
-        return [-w * r[3], -w * r[4], -w * r[5], w * r[0], w * r[1], w * r[2], 0.0, 0.0, 0.0]
+        return [-w * r[2], -w * r[3], w * r[0], w * r[1]]
 
-    r = np.eye(3).ravel().tolist()
+    r = [1.0, 0.0, 0.0, 1.0]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a ValueError
         for _, r in rk4_steps(rhs, lambda times: field.rate(times).tolist(), r, t / steps, steps):
             pass
     if not all(map(math.isfinite, r)):
         raise ValueError("rotation angle must be finite: q*B3/m is not finite on [0, t]")
-    return np.array(r).reshape(3, 3)
+    a, b, c, d = r
+    return np.array([[a, b, 0.0], [c, d, 0.0], [0.0, 0.0, 1.0]])
 
 
 def fixed_axis_hill(field: FixedAxisField, period: float) -> "HillSystem":

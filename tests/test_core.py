@@ -185,10 +185,24 @@ class TestBlockPropagator:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_energy_form_evaluates_no_block_entry(self):
-        # m w overflows: a block entry -m w sin(0) would be -inf * 0, a NaN
-        # with a warning, though the form needs only m w^2 and 1/m
-        diagonal = np.diag(energy_form_6x6(OscParams(1e200, 1e200)))
+        # m w^2 overflows while m w stays finite: the form needs only m w^2
+        # and 1/m, and gives inf for m w^2 with no warning
+        diagonal = np.diag(energy_form_6x6(OscParams(1e200, 1e100)))
         assert diagonal.tolist() == [math.inf, 1e-200, math.inf, 1e-200, 0.0, 1e-200]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mass, omega", [(1e200, 1e200), (1e10, 1e300), (1.7e308, 2.0)])
+    def test_mass_times_omega_must_be_finite(self, mass, omega):
+        # OscParams(1e200, 1e200) used to be accepted, and its propagator at
+        # t = 0 had a NaN second row, -m w sin(0) = -inf * 0, with a warning
+        with pytest.raises(ValueError, match=r"^mass \* omega must be finite"):
+            OscParams(mass, omega)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mass_times_omega_near_the_float_limit_propagates(self):
+        # m w = 1e308 is accepted, and U(0) is the identity with no warning
+        u = block_propagator(OscParams(1e200, 1e108), 0.0)
+        assert np.array_equal(u, np.eye(6))
 
 
 class TestSimpson:

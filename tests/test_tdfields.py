@@ -212,6 +212,9 @@ class TestFixedAxisRotation:
             (0.9, -0.3, -1.0, 2.5, 1000),
             (1.0, 0.5, 1.0, 1.0, 1),
             (-0.7, 0.5, 1.0, 1.0, 97),  # not a multiple of the 32-step block
+            (0.0, 0.0, 1.0, 1.0, 97),  # b3 = 0: no entry moves
+            (-0.0, 0.0, 1.0, 1.0, 97),
+            (-0.5, 0.5, 1.0, 1.0, 97),  # the rate is exactly 0 at t = 0
         ],
     )
     def test_float_and_matrix_forms_agree(self, const, amp, charge, mass, steps):
@@ -220,6 +223,11 @@ class TestFixedAxisRotation:
         matrix = rotation_ode_matrix_form(field, 4.0, steps)
         assert np.array_equal(floats, matrix)
         assert np.array_equal(np.signbit(floats), np.signbit(matrix))
+        # only the planar block moves: the third row and column are
+        # exactly (0, 0, 1), with +0.0 zeros
+        edge = np.concatenate((floats[2], floats[:2, 2]))
+        assert edge.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0]
+        assert not np.signbit(edge).any()
 
     def test_non_finite_field_rejected(self):
         # a NaN field strength used to give a rotation with NaN planar
