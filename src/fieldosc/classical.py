@@ -207,12 +207,15 @@ def eval_H2(params: OscParams, drive: Drive, z, t: float) -> np.ndarray | float:
     return h2_evaluator(params, drive)(t)(np.moveaxis(_as_state(z), -1, 0))
 
 
-def _h1_energy(half, two_mass, qe1, qe2, qe3, z):
-    x1, p1, x2, p2, x3, p3 = z
-    v1 = p1 + half * x2
-    v2 = p2 - half * x1
-    kinetic = (v1 * v1 + v2 * v2 + p3 * p3) / two_mass
-    return kinetic - (x1 * qe1 + x2 * qe2 + x3 * qe3)
+def _h1_energy(half, two_mass, qe1, qe2, qe3) -> Callable:
+    def energy(z):
+        x1, p1, x2, p2, x3, p3 = z
+        v1 = p1 + half * x2
+        v2 = p2 - half * x1
+        kinetic = (v1 * v1 + v2 * v2 + p3 * p3) / two_mass
+        return kinetic - (x1 * qe1 + x2 * qe2 + x3 * qe3)
+
+    return energy
 
 
 def h1_evaluator(fields) -> Callable:
@@ -233,7 +236,7 @@ def h1_evaluator(fields) -> Callable:
         return (f.frame_rate * f.mass, 2.0 * f.mass, *(c * f.charge for c in f.e))
 
     if isinstance(fields, StaticField):
-        energy = functools.partial(_h1_energy, *coefs(fields))
+        energy = _h1_energy(*coefs(fields))
         return lambda t: energy
     table = np.array([coefs(f) for f in fields]).T
 
@@ -249,7 +252,7 @@ def h1_evaluator(fields) -> Callable:
         return tuple(spread)
 
     def energy(z):
-        return _h1_energy(*coefs_for(z[0].shape), z)
+        return _h1_energy(*coefs_for(z[0].shape))(z)
 
     return lambda t: energy
 
@@ -439,15 +442,21 @@ def solve_driven(
 # ----------------------------------------------------------------------
 
 
-def _one_state_velocity(s: list, energy: Callable) -> list:
-    """Sigma grad H at one state, a list of six Python floats, in floats
-    and bit for bit the batch path: row r hands `energy` two fresh lists
-    that displace component r ^ 1 by +-step, the plus list adding +0.0 to
-    the others (a -0.0 becomes +0.0) and the minus list keeping them, as
-    state + step * (+-eye) does."""
-    x1, p1, x2, p2, x3, p3 = s
+def _one_state_velocity(y: list, energy: Callable, k: list | None, f: float) -> list:
+    """Sigma grad H at one state in floats, bit for bit the batch path,
+    as `rk4_steps`' float form calls it: the state is the RK4 stage whose
+    component j is ``y[j] + f * k[j]``, or y itself when k is None, y and
+    k being lists of six Python floats.  Row r hands `energy` two fresh
+    lists that displace component r ^ 1 of the stage by +-step, the plus
+    list adding +0.0 to the others (a -0.0 becomes +0.0) and the minus
+    list keeping them, as state + step * (+-eye) does."""
+    x1, p1, x2, p2, x3, p3 = y
+    if k is not None:
+        k1, k2, k3, k4, k5, k6 = k
+        x1, p1, x2, p2 = x1 + f * k1, p1 + f * k2, x2 + f * k3, p2 + f * k4
+        x3, p3 = x3 + f * k5, p3 + f * k6
     u1, v1, u2, v2, u3, v3 = x1 + 0.0, p1 + 0.0, x2 + 0.0, p2 + 0.0, x3 + 0.0, p3 + 0.0
-    scale = _FD_STEP * (1.0 + max(map(abs, s)))
+    scale = _FD_STEP * (1.0 + max(abs(x1), abs(p1), abs(x2), abs(p2), abs(x3), abs(p3)))
     q, p = scale * 2.0, scale * -2.0  # a Q row divides by +2 step, a P row by -2 step
     return [
         (energy([u1, p1 + scale, u2, v2, u3, v3]) - energy([x1, p1 - scale, x2, p2, x3, p3])) / q,
@@ -503,12 +512,13 @@ def rk4_hamiltonian_flow(
     6 + r displaces it by -step, so the differences come out in the order
     of Sigma grad H.  For one state, z is a list of six Python floats,
     `energy` is called once per row, and the state steps as a list of
-    floats; each gradient row hands `energy` two fresh lists, which it
-    may keep.  For a batch, z is a list of six contiguous (12,) + batch
-    arrays, the components of one (6, 12) + batch buffer, and `energy`
-    is called once per stage.  Both run on `core.rk4_steps`, whose two
-    forms round alike, so they give the same bits when `energy` uses only
-    + - * /: numpy's vectorised power and transcendental functions may
+    floats on `rk4_steps`' float form, each stage formed in local floats
+    (`_one_state_velocity`); each gradient row hands `energy` two fresh
+    lists, which it may keep.  For a batch, z is a list of six contiguous
+    (12,) + batch arrays, the components of one (6, 12) + batch buffer,
+    and `energy` is called once per stage.  Both run on `core.rk4_steps`,
+    whose two forms round alike, so they give the same bits when `energy`
+    uses only + - * /: numpy's vectorised power and transcendental functions may
     round otherwise than the C library's, which a Python float takes.
 
     Returns (times, path): the steps+1 times from 0 to t, and the states

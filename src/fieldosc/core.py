@@ -262,11 +262,16 @@ def rk4_steps(
 
     The type of y0 selects the form of the state, and both forms round
     the update in that one order, so they give the same bits.  A list of
-    Python floats steps in float arithmetic with no numpy call: `rhs`
-    takes and returns a list, and each step yields a new list.  Anything
-    else becomes one C-order float copy of y0, updated in place, so a
-    caller that keeps a step must copy it; `rhs` must then return a fresh
-    array of y's shape, which the update overwrites.
+    Python floats steps in float arithmetic with no numpy call, and each
+    step yields a new list.  Its `rhs(y, c, k, f)` forms the stage itself:
+    it returns, as a list, the derivative at the state whose component j
+    is ``y[j] + f * k[j]``, rounded that way, or at y itself when k is
+    None.  A step calls it as (y, start, None, 0.0), (y, mid, k1, h/2),
+    (y, mid, k2, h/2) and (y, end, k3, h), with the same list y each
+    time, so it builds no stage list.  Anything else becomes one C-order
+    float copy of y0, updated in place, so a caller that keeps a step
+    must copy it; its `rhs(y, c)` is handed each stage state and must
+    return a fresh array of y's shape, which the update overwrites.
     """
     floats = isinstance(y0, list)
     y = y0 if floats else np.array(y0, dtype=float, order="C")
@@ -278,16 +283,17 @@ def rk4_steps(
         # float64 i * h rounds as Python's int * float does
         stages = stage_values((np.arange(first, last) * h)[:, None] + offsets)
         for i, (start, mid, end) in zip(range(first, last), stages):
-            k1 = rhs(y, start)
             if floats:
-                k2 = rhs([a + half_h * b for a, b in zip(y, k1)], mid)
-                k3 = rhs([a + half_h * b for a, b in zip(y, k2)], mid)
-                k4 = rhs([a + h * b for a, b in zip(y, k3)], end)
+                k1 = rhs(y, start, None, 0.0)
+                k2 = rhs(y, mid, k1, half_h)
+                k3 = rhs(y, mid, k2, half_h)
+                k4 = rhs(y, end, k3, h)
                 y = [
                     a + (((b1 + 2.0 * b2) + 2.0 * b3) + b4) * sixth_h
                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
                 ]
             else:
+                k1 = rhs(y, start)
                 k2 = rhs(y + half_h * k1, mid)
                 k3 = rhs(y + half_h * k2, mid)
                 k4 = rhs(y + h * k3, end)

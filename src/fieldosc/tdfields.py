@@ -121,13 +121,18 @@ def rotation_ode(field: FixedAxisField, t: float, steps: int) -> np.ndarray:
     """RK4 of dR/dt = W(t) R from R(0) = I in `steps` steps, the oracle of
     `accumulated_rotation`: W R has rows -w R[1], w R[0] and 0, w the
     rate, so R's third row and column stay (0, 0, 1) and its planar block
-    [[a, b], [c, d]] steps alone, as four Python floats on `rk4_steps`."""
+    [[a, b], [c, d]] steps alone, as four Python floats on `rk4_steps`'
+    float form, whose `rhs` forms each stage r + f * k in local floats."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     _check_steps(steps, "steps")
 
-    def rhs(r, w):
-        return [-w * r[2], -w * r[3], w * r[0], w * r[1]]
+    def rhs(r, w, k, f):
+        a, b, c, d = r
+        if k is not None:
+            ka, kb, kc, kd = k
+            a, b, c, d = a + f * ka, b + f * kb, c + f * kc, d + f * kd
+        return [-w * c, -w * d, w * a, w * b]
 
     r = [1.0, 0.0, 0.0, 1.0]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow ends in a ValueError

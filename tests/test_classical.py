@@ -822,6 +822,37 @@ class TestRK4Oracle:
             # components that stay zero, some of them -0.0
             assert (np.signbit(one) & (one == 0.0)).any()
 
+    @pytest.mark.parametrize(
+        "y, k, f",
+        [
+            # stage components -0.0 + f * -0.0, 0.0 + f * -0.0, -0.0 + f * 0.0
+            ([-0.0, 0.0, -0.0, 0.3, -0.2, 0.1], [-0.0, -0.0, 0.0, 0.7, 1.1, -0.4], 0.5e-3),
+            ([0.4, -0.0, -0.0, -0.25, 0.0, 1.5], [-2.0, -0.0, 0.5, -0.0, -0.0, 0.3], 1e-3),
+            ([0.4, -0.0, -0.0, -0.25, 0.0, 1.5], [-2.0, 3.0, -0.5, -0.0, 0.0, 0.3], 0.0),
+        ],
+    )
+    def test_one_state_velocity_forms_its_stage(self, y, k, f):
+        # the gradient at the stage y + f * k equals the gradient at that
+        # stage formed beforehand, and `energy` is handed equal lists, in
+        # every bit (float.hex tells -0.0 from 0.0)
+        stage = [a + f * b for a, b in zip(y, k)]
+        assert {math.copysign(1.0, v) for v in stage if v == 0.0} == {-1.0, 1.0}
+        energy = h1_evaluator(StaticField(b3=-2.3, e=(0.2, -0.0, 0.11), mass=0.8))(0.0)
+
+        def gradient(state, k, f):
+            seen = []
+
+            def recording(z):
+                seen.append([v.hex() for v in z])
+                return energy(z)
+
+            velocity = classical._one_state_velocity(state, recording, k, f)
+            return [v.hex() for v in velocity], seen
+
+        in_place, formed = gradient(y, k, f), gradient(stage, None, 0.0)
+        assert len(formed[1]) == 12
+        assert in_place == formed
+
     def test_oracle_stage_times(self):
         # 97 steps cross rk4_steps' 32-step block boundaries, which one
         # state and a batch both step through

@@ -330,17 +330,20 @@ class TestRK4Stages:
     def _coefficients(times):
         return (1.0 + 0.5 * np.sin(3.0 * times)).tolist()
 
-    def _float_rhs(self, y, c):
+    def _float_rhs(self, y, c, k, f):
+        if k is not None:
+            y = [a + f * b for a, b in zip(y, k)]
         return [c * (s * y[j]) for s, j in zip(self._SIGN, self._SOURCE)]
 
     def _array_rhs(self, y, c):
         return c * (np.array(self._SIGN) * y[list(self._SOURCE)])
 
-    def test_float_and_array_forms_agree(self):
-        # 97 steps cross the 32-step block boundaries; the -0.0 start
-        # component checks that the two forms round zeros alike
+    @pytest.mark.parametrize("steps", [1, 32, 33, 97])
+    def test_float_and_array_forms_agree(self, steps):
+        # 33 and 97 steps cross the 32-step block boundaries; the -0.0
+        # start component checks that the two forms round zeros alike
         y0 = [0.4, -0.0, 1.3, -0.7, 0.0, 0.25]
-        h, steps = 0.731 / 97, 97
+        h = 0.731 / 97
         floats = [
             (t, y)
             for t, y in rk4_steps(self._float_rhs, self._coefficients, list(y0), h, steps)
@@ -355,6 +358,32 @@ class TestRK4Stages:
             assert type(y) is list and all(type(v) is float for v in y)
             assert np.array_equal(y, y_array)
             assert np.array_equal(np.signbit(y), np.signbit(y_array))
+
+    def test_float_rhs_calls(self):
+        # four calls a step, all on the step's own list y, each naming its
+        # stage as y + f * k with k the previous call's result: the float
+        # form builds no stage list
+        calls = []
+
+        def rhs(y, c, k, f):
+            out = self._float_rhs(y, c, k, f)
+            calls.append((y, c, k, f, out))
+            return out
+
+        h, steps = 0.731 / 97, 33
+        y0 = [0.4, -0.0, 1.3, -0.7, 0.0, 0.25]
+        path = [y0] + [y for _, y in rk4_steps(rhs, self._coefficients, y0, h, steps)]
+        stages = self._coefficients(np.arange(steps)[:, None] * h + np.array([0.0, h / 2, h]))
+        assert len(calls) == 4 * steps
+        for i, (start, mid, end) in enumerate(stages):
+            step = calls[4 * i : 4 * i + 4]
+            assert all(y is path[i] for y, *_ in step)
+            assert [c for _, c, *_ in step] == [start, mid, mid, end]
+            assert step[0][2] is None
+            assert all(step[j][2] is step[j - 1][4] for j in (1, 2, 3))
+            factors = [f for *_, f, _ in step]
+            assert factors == [0.0, 0.5 * h, 0.5 * h, h]
+            assert all(type(f) is float for f in factors)
 
     def test_kept_float_steps_stay_as_yielded(self):
         y0 = [0.4, -0.0, 1.3, -0.7, 0.0, 0.25]
