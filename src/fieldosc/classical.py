@@ -53,11 +53,8 @@ __all__ = [
     "MovingOrigin",
     "EquivalenceReport",
     "FlowBlowupError",
-    "eval_H1",
-    "eval_H2",
     "h1_evaluator",
     "h2_evaluator",
-    "solve_driven",
     "forced_path",
     "frame_rotation",
     "moving_origin_map",
@@ -195,18 +192,6 @@ class StaticField:
         return Drive.rotating_constant(self.charge * e, self.frame_rate)
 
 
-def eval_H1(field: StaticField, z) -> np.ndarray | float:
-    """Energy of a charge in the static field: |p - a(x)|^2/2m - q<x,E>
-    with a(x) = (m*w_c/2) z_hat cross x (equal to B cross x / 2 at q=1)."""
-    return h1_evaluator(field)(0.0)(np.moveaxis(_as_state(z), -1, 0))
-
-
-def eval_H2(params: OscParams, drive: Drive, z, t: float) -> np.ndarray | float:
-    """Driven-oscillator energy at time t: kinetic + (m w^2/2)|planar Q|^2
-    - <Q, k(t)>; at `Drive.zero()` it is the plain-oscillator energy H3."""
-    return h2_evaluator(params, drive)(t)(np.moveaxis(_as_state(z), -1, 0))
-
-
 def _h1_energy(half, two_mass, qe1, qe2, qe3) -> Callable:
     def energy(z):
         x1, p1, x2, p2, x3, p3 = z
@@ -220,7 +205,9 @@ def _h1_energy(half, two_mass, qe1, qe2, qe3) -> Callable:
 
 def h1_evaluator(fields) -> Callable:
     """H1 of one field, or batched over a sequence of fields, in the
-    oracle's protocol; the one H1 formula of the package.
+    oracle's protocol; the one H1 formula of the package: the energy of a
+    charge in the static field, |p - a(x)|^2/2m - q<x,E> with
+    a(x) = (m*w_c/2) z_hat cross x (equal to B cross x / 2 at q=1).
 
     `h1_evaluator(fields)(t)` is `energy(z)`, the same function at every
     t, which reads a component-major state: z is six components
@@ -228,8 +215,8 @@ def h1_evaluator(fields) -> Callable:
     (the coefficients are floats too, so no numpy call is made) or arrays
     of any one shape.  For B fields each component is an array whose last
     axis is the batch of B, and the energy has that shape.  It does not
-    check its states (`eval_H1` does); it is meant to feed
-    `rk4_hamiltonian_flow`, which checks them.
+    check its states; it is meant to feed `rk4_hamiltonian_flow`, which
+    checks them.
     """
     def coefs(f):
         # the frame rate times m, 2m, and the three of q*E
@@ -258,10 +245,12 @@ def h1_evaluator(fields) -> Callable:
 
 
 def h2_evaluator(params: OscParams, drive: Drive) -> Callable:
-    """Driven-oscillator H2 in the oracle's protocol: `h2_evaluator(params,
-    drive)(t)` evaluates the drive once, as three Python floats, and
-    returns `energy(z)` on a component-major state (six components, Python
-    floats or arrays of one shape)."""
+    """Driven-oscillator H2 in the oracle's protocol: kinetic
+    + (m w^2/2)|planar Q|^2 - <Q, k(t)>, which at `Drive.zero()` is the
+    plain-oscillator energy H3.  `h2_evaluator(params, drive)(t)` evaluates
+    the drive once, as three Python floats, and returns `energy(z)` on a
+    component-major state (six components, Python floats or arrays of one
+    shape)."""
     two_mass = 2.0 * params.mass
     stiffness = 0.5 * params.mass * params.omega * params.omega
 
@@ -318,8 +307,16 @@ def _forced_path_on(
 
 
 def forced_path(params: OscParams, drive: Drive, times: np.ndarray) -> np.ndarray:
-    """Zero-initial-data response sampled on a uniform time grid."""
-    return _forced_path_on(_as_times(times), params, drive)[0]
+    """Zero-initial-data response sampled on a uniform time grid: a 1-D
+    array of times whose steps all equal the first to 1e-9 relative (the
+    Simpson rules take the first step as the step everywhere)."""
+    times = _as_times(times)
+    if times.ndim != 1:
+        raise ValueError(f"forced path needs a 1-D time grid, got shape {times.shape}")
+    steps = np.diff(times)
+    if np.any(np.abs(steps - steps[:1]) > 1e-9 * np.abs(steps[:1])):
+        raise ValueError("forced path needs a uniform time grid")
+    return _forced_path_on(times, params, drive)[0]
 
 
 # ----------------------------------------------------------------------
@@ -418,23 +415,6 @@ def moving_origin_map(
         q_nh=lambda t: origin(t)[0::2],
         p_nh=lambda t: origin(t)[1::2],
     )
-
-
-def solve_driven(
-    params: OscParams,
-    drive: Drive,
-    z0,
-    t: float,
-    panels_per_unit: float = _PANELS_PER_UNIT,
-) -> np.ndarray:
-    """Exact state of the driven oscillator at time t >= 0: the plain
-    oscillator propagator, then the inverse moving-origin map, which adds
-    the forced response (`moving_origin_map` at `panels_per_unit`).  z0
-    may be batched (..., 6)."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    homogeneous = block_propagate_path(params, z0, t)[0]
-    return moving_origin_map(params, drive, panels_per_unit).inverse(t, homogeneous)
 
 
 # ----------------------------------------------------------------------

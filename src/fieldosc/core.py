@@ -25,7 +25,6 @@ __all__ = [
     "rotation_about_z",
     "block_propagate_path",
     "block_propagator",
-    "energy_form_6x6",
     "cumulative_simpson",
     "rk4_steps",
 ]
@@ -206,22 +205,8 @@ def block_propagate_path(params: OscParams, z0, times) -> np.ndarray:
 
 def block_propagator(params: OscParams, t: float) -> np.ndarray:
     """6x6 matrix U(t) of `block_propagate_path`: column i is the orbit
-    of the i-th unit vector at t.  Symplectic, and it conjugates
-    `energy_form_6x6` to itself."""
+    of the i-th unit vector at t."""
     return block_propagate_path(params, np.eye(6), t)[0].T
-
-
-def energy_form_6x6(params: OscParams) -> np.ndarray:
-    """Quadratic form H with 2*energy = <z, H z>: diag(m w^2, 1/m) on each
-    pair, which is diag(0, 1/m) on the axial one (`_pair_groups`).  The
-    propagator conjugates it to itself, U(t)^T H U(t) = H, which is the
-    invariance behind the conserved homogeneous-orbit energy."""
-    diagonal = np.empty(6)
-    for pairs, group, *_ in _pair_groups(params, np.empty(0)):  # groups only, no entries
-        m, w = group.mass, group.omega
-        for axis in pairs:
-            diagonal[2 * axis : 2 * axis + 2] = m * w * w, 1.0 / m
-    return np.diag(diagonal)
 
 
 def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:

@@ -20,15 +20,12 @@ from fieldosc.classical import (
     FlowBlowupError,
     StaticField,
     equivalence_report,
-    eval_H1,
-    eval_H2,
     forced_path,
     frame_rotation,
     h1_evaluator,
     h2_evaluator,
     moving_origin_map,
     rk4_hamiltonian_flow,
-    solve_driven,
     symplectic_defect,
 )
 
@@ -107,7 +104,8 @@ def _reference_rk4_path(hamiltonian, z0, t, dt, fd_step=1e-5):
 
 
 def _reference_eval_h1(field, z):
-    """The single-field H1 formula of `eval_H1` in its first form."""
+    """The single-field H1 formula in its first form, on interleaved
+    states (z[..., 0] is x1)."""
     m = field.mass
     half_rate = 0.5 * field.cyclotron_rate * m
     x1, p1 = z[..., 0], z[..., 1]
@@ -224,37 +222,36 @@ class TestDrive:
 
 
 class TestHamiltonians:
+    # the evaluators read component-major states: a 1-D state unpacks as
+    # it is, and a batch of interleaved states is passed transposed
     def test_h1_zero_state(self):
         field = StaticField(b3=1.2, e=(0.3, -0.1, 0.2))
-        assert eval_H1(field, np.zeros(6)) == 0.0
+        assert h1_evaluator(field)(0.0)(np.zeros(6)) == 0.0
 
     def test_h1_free_limit(self):
         z = np.array([0.4, 1.0, -0.2, 2.0, 0.1, -3.0])
         field = StaticField(b3=0.0, e=(0.0, 0.0, 0.0), mass=2.0)
-        assert np.isclose(eval_H1(field, z), (1.0 + 4.0 + 9.0) / 4.0, atol=1e-14)
-
-    def test_h1_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_H1(StaticField(b3=1.0), np.zeros(2))
+        assert np.isclose(h1_evaluator(field)(0.0)(z), (1.0 + 4.0 + 9.0) / 4.0, atol=1e-14)
 
     def test_h3_zero(self):
-        assert eval_H2(OscParams(1.0, 2.0), Drive.zero(), np.zeros(6), 0.0) == 0.0
+        assert h2_evaluator(OscParams(1.0, 2.0), Drive.zero())(0.0)(np.zeros(6)) == 0.0
 
     def test_h2_equals_h3_without_drive(self):
         # H3 is H2 at the zero drive: it does not depend on t
-        params = OscParams(1.3, 0.9)
+        h3 = h2_evaluator(OscParams(1.3, 0.9), Drive.zero())
         rng = np.random.default_rng(3)
         z = rng.normal(size=(5, 6))
-        h3 = eval_H2(params, Drive.zero(), z, 0.0)
+        energies = h3(0.0)(z.T)
+        assert energies.shape == (5,)
         for t in (1.7, -3.2, 1e6):
-            assert np.array_equal(eval_H2(params, Drive.zero(), z, t), h3)
+            assert np.array_equal(h3(t)(z.T), energies)
 
     def test_h3_conserved_along_closed_form(self):
         params = OscParams(1.0, 1.4)
         z0 = np.array([0.3, -0.2, 0.5, 0.1, -0.4, 0.6])
         times = np.linspace(0.0, 8.0, 401)
         path = block_propagate_path(params, z0, times)
-        energies = eval_H2(params, Drive.zero(), path, 0.0)
+        energies = h2_evaluator(params, Drive.zero())(0.0)(path.T)
         assert np.max(np.abs(energies - energies[0])) <= 1e-10
 
     def test_h1_maps_to_h2_with_generating_rate(self):
@@ -277,17 +274,30 @@ class TestHamiltonians:
                 py = -s * p_new[0] + c * p_new[1]
                 return z[0] * px + z[2] * py + z[4] * p_new[2]
 
-            lhs = eval_H2(params, field.rotated_drive(), mapped, t)
-            rhs = eval_H1(field, z) + fourth_order_dt(gen, t, h=1e-4)
+            lhs = h2_evaluator(params, field.rotated_drive())(t)(mapped)
+            rhs = h1_evaluator(field)(t)(z) + fourth_order_dt(gen, t, h=1e-4)
             assert abs(lhs - rhs) <= 1e-10
 
 
+def driven_path(params, drive, z0, times):
+    """The driven oscillator's exact path as the CLI's trajectory artifact
+    computes it: the homogeneous orbit plus the forced path."""
+    return block_propagate_path(params, z0, times) + forced_path(params, drive, times)
+
+
+def driven_state(params, drive, z0, t):
+    """`driven_path` at time t, on a grid of QUAD panels per unit time."""
+    times = np.linspace(0.0, t, core.simpson_panels(QUAD, t) + 1)
+    return driven_path(params, drive, z0, times)[-1]
+
+
 class TestSolveDriven:
+    # the driven oscillator H2 is the plain one plus the forced path
     def test_no_drive_reduces_to_propagator(self):
         params = OscParams(1.0, 1.7)
         z0 = np.array([0.2, -0.4, 0.6, 0.1, -0.3, 0.5])
         t = 2.3
-        sol = solve_driven(params, Drive.zero(), z0, t, QUAD)
+        sol = driven_state(params, Drive.zero(), z0, t)
         assert np.allclose(sol, block_propagator(params, t) @ z0, atol=1e-13)
         # the forced part of the solution is the moving origin
         mover = moving_origin_map(params, Drive.zero(), QUAD)
@@ -297,12 +307,8 @@ class TestSolveDriven:
     def test_constant_axial_force(self):
         # free particle under force F: Q3 = F t^2 / 2, P3 = F t
         force = 0.8
-        sol = solve_driven(
-            OscParams(1.0, 0.0),
-            Drive.constant((0.0, 0.0, force)),
-            np.zeros(6),
-            2.0,
-            QUAD,
+        sol = driven_state(
+            OscParams(1.0, 0.0), Drive.constant((0.0, 0.0, force)), np.zeros(6), 2.0
         )
         assert abs(sol[4] - force * 2.0**2 / 2.0) <= 1e-12
         assert abs(sol[5] - force * 2.0) <= 1e-12
@@ -313,9 +319,8 @@ class TestSolveDriven:
         z0 = np.array([0.5, 0.0, -0.2, 0.3, 0.1, -0.4])
         horizon = 10.0
         times, path = rk4_hamiltonian_flow(h2_evaluator(params, drive), z0, horizon, 1e-3)
-        for idx in (1000, 5000, 10000):
-            sol = solve_driven(params, drive, z0, times[idx], QUAD)
-            assert np.max(np.abs(sol - path[idx])) <= 1e-6
+        # at every one of the oracle's samples
+        assert np.max(np.abs(driven_path(params, drive, z0, times) - path)) <= 1e-6
 
     def test_linearity_in_drive(self):
         params = OscParams(1.0, 0.8)
@@ -326,10 +331,10 @@ class TestSolveDriven:
         )
         z0 = np.array([0.1, 0.2, 0.3, -0.1, 0.0, 0.4])
         t = 3.0
-        base = solve_driven(params, Drive.zero(), z0, t, QUAD)
-        s1 = solve_driven(params, d1, z0, t, QUAD)
-        s2 = solve_driven(params, d2, z0, t, QUAD)
-        s12 = solve_driven(params, both, z0, t, QUAD)
+        base = driven_state(params, Drive.zero(), z0, t)
+        s1 = driven_state(params, d1, z0, t)
+        s2 = driven_state(params, d2, z0, t)
+        s12 = driven_state(params, both, z0, t)
         assert np.max(np.abs((s12 - base) - ((s1 - base) + (s2 - base)))) <= 1e-10
 
     def test_homogeneous_invariant(self):
@@ -343,10 +348,6 @@ class TestSolveDriven:
             + (path[:, 1] ** 2 + path[:, 3] ** 2 + path[:, 5] ** 2) / m
         )
         assert np.max(np.abs(form - form[0])) <= 1e-10
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            solve_driven(OscParams(), Drive.zero(), np.zeros(6), -1.0, QUAD)
 
 
 class TestRotatingFrameMap:
@@ -961,10 +962,8 @@ def _state_takers() -> dict:
     reduced, corotating = corotating_reduction(RotatingField(b1=0.7, b3=1.1, alpha=0.9))
     _, coriolis = coriolis_elimination(reduced)
     takers = {
-        "eval_H1": lambda z: eval_H1(field, z),
-        "eval_H2": lambda z: eval_H2(params, drive, z, 0.3),
         "block_propagate_path": lambda z: block_propagate_path(params, z, [0.0, 0.3]),
-        "solve_driven": lambda z: solve_driven(params, drive, z, 0.3, QUAD),
+        "driven-path": lambda z: driven_path(params, drive, z, np.linspace(0.0, 0.3, 33)),
         "symplectic_defect": lambda z: symplectic_defect(lambda t, y: y, 0.3, z),
         # a Hamiltonian that takes any number of components, so the oracle's
         # own check is what rejects the state
@@ -1039,3 +1038,18 @@ def test_frame_rate_must_be_finite(rate):
 def test_forced_path_needs_an_even_panel_count():
     with pytest.raises(ValueError, match="even panel count"):
         forced_path(OscParams(), Drive.zero(), np.linspace(0.0, 1.0, 4))
+
+
+def test_forced_path_needs_a_uniform_1d_grid():
+    # the Simpson rules take the first step as the step everywhere: on the
+    # times 2 s**2, s uniform over 2,001 samples, forced_path returned
+    # 2.2e-4 where the path is F (1 - cos wt) / (m w^2) = 0.44 at t = 2
+    params, drive = OscParams(1.0, 1.3), Drive.constant((0.4, 0.0, 0.0))
+    squares = 2.0 * np.linspace(0.0, 1.0, 2001) ** 2
+    with pytest.raises(ValueError, match="uniform"):
+        forced_path(params, drive, squares)
+    with pytest.raises(ValueError, match="1-D"):
+        forced_path(params, drive, np.linspace(0.0, 2.0, 2001).reshape(1, -1))
+    # the same span on a uniform grid
+    q1 = forced_path(params, drive, np.linspace(0.0, 2.0, 2001))[-1, 0]
+    assert abs(q1 - 0.4 * (1.0 - math.cos(2.6)) / 1.3**2) <= 1e-12

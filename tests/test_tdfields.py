@@ -434,6 +434,33 @@ class TestCoriolisElimination:
         )
         assert defect <= 1e-12
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            FIELD,
+            RotatingField(b1=0.5, b3=1.3, alpha=0.8),
+            RotatingField(b1=1.2, b3=-0.6, alpha=0.4, charge=2.0, mass=4.0),
+        ],
+        ids=["base", "slow", "charged"],
+    )
+    def test_group_direction(self, field):
+        # G(t) = exp(tM) solves G' = G M with M = reduced.coriolis; the
+        # reversed group exp(-tM) misses it by 0.78 to 2.9 on these fields
+        # and passed every other check.  G is read off the map's images of
+        # unit positions
+        reduced, _ = corotating_reduction(field)
+        _, cmap = coriolis_elimination(reduced)
+        units = np.zeros((3, 6))
+        units[[0, 1, 2], [0, 2, 4]] = 1.0
+
+        def group(t):
+            return cmap.forward(t, units)[:, 0::2].T  # column i is G(t) e_i
+
+        h = 1e-4
+        for t in (0.3, 1.7, 4.2):
+            derivative = (group(t + h) - group(t - h)) / (2.0 * h)
+            assert np.max(np.abs(derivative - group(t) @ reduced.coriolis)) <= 1e-6
+
 
 class TestStaticLimit:
     def test_case2_degenerates_to_static_module(self):
