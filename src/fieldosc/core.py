@@ -74,10 +74,15 @@ def _fixed_steps(t: float, dt: float) -> tuple[int, float]:
     return steps, t / steps
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool or a float such as 3.0 is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_steps(steps, name: str) -> None:
     """The package's one step-count check: `steps`, called `name` in the
-    message, is an integer >= 1 (a float such as 3.0 is not)."""
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    message, is an integer >= 1 (True or a float such as 3.0 is not)."""
+    if not (_is_integer(steps) and steps >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {steps}")
 
 

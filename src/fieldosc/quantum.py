@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .core import OscParams, _check_mass, _fixed_steps
+from .core import OscParams, _check_mass, _fixed_steps, _is_integer
 from .classical import Drive, MovingOrigin, StaticField, moving_origin_map
 
 __all__ = [
@@ -136,10 +136,17 @@ class WaveFunction:
             raise ValueError(f"cannot normalize a wavefunction of norm {norm} on its grid")
         return replace(self, values=self.values / norm)
 
+    def _check_same_grid(self, other: "WaveFunction") -> None:
+        # hbar may differ: states at (m, hbar) and (l m, l hbar) are compared
+        if self.grid != other.grid:
+            raise ValueError(f"states lie on different grids: {self.grid} and {other.grid}")
+
     def inner(self, other: "WaveFunction") -> complex:
+        self._check_same_grid(other)
         return complex(self.grid.cell_volume * np.sum(np.conj(self.values) * other.values))
 
     def distance(self, other: "WaveFunction") -> float:
+        self._check_same_grid(other)
         return math.sqrt(
             self.grid.cell_volume * float(np.sum(np.abs(self.values - other.values) ** 2))
         )
@@ -181,8 +188,8 @@ class EigenLabel:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("quantum numbers must be non-negative")
+        if not all(_is_integer(n) and n >= 0 for n in (self.n1, self.n2)):
+            raise ValueError(f"quantum numbers must be integers >= 0, got {self.n1!r}, {self.n2!r}")
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,12 @@ frequency is half the instantaneous rotation rate; Case II (field rotating
 about the z axis) reduces in two steps -- into the co-rotating frame and
 then through the elimination of the Coriolis-like momentum coupling -- to
 a three-degree oscillator with a time-periodic stiffness matrix.  Neither
-case routes into the static closed-form solver.  Case I's terminal object
-is a scalar Hill system, which the monodromy machinery below can
-integrate.  Case II's `VectorHillSystem` is never integrated: the only
-reader of its `omega_sq_matrix` is the CLI's `case2` mode, which samples
-it (ROADMAP item 1 plans its 6x6 monodromy).
+case routes into the static closed-form solver.  Case I ends in a scalar
+Hill system, whose monodromy the RK4 below integrates.  Case II's
+`VectorHillSystem` is never integrated: the CLI's `case2` mode only
+samples its `omega_sq_matrix` (ROADMAP item 1 plans its 6x6 monodromy).
+The Mathieu stiffness a + 2q cos 2t has closed-form tongue edges, Hill's
+characteristic values (`mathieu_tongue`).
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ __all__ = [
     "corotating_reduction",
     "coriolis_elimination",
     "mathieu_omega_sq",
-    "mathieu_hill",
+    "mathieu_tongue",
     "hill_monodromy",
     "stability_map",
-    "bisect_stability_boundary",
 ]
 
 _MARGINAL_TOL = 1e-9  # |trace| within this of 2 classifies as marginal
@@ -343,9 +343,28 @@ def mathieu_omega_sq(a, q, t):
     return a + 2.0 * q * np.cos(2.0 * t)
 
 
-def mathieu_hill(a: float, q: float) -> HillSystem:
-    """The Mathieu equation as a Hill system of period pi."""
-    return HillSystem(omega_sq=lambda t: mathieu_omega_sq(a, q, t), period=math.pi)
+def mathieu_tongue(q: float, r: int) -> tuple[float, float]:
+    """Edges (lower, upper) of the r-th instability tongue of the Mathieu
+    stiffness, the characteristic values a_r(q) and b_r(q) (DLMF 28.6):
+    eigenvalues of Hill's symmetric tridiagonal Fourier matrices, whose
+    off-diagonals are q.  At q = 0 both edges are r^2; -q gives q's tongue."""
+    _check_steps(r, "r")
+    if not math.isfinite(q):
+        raise ValueError(f"q must be finite, got {q}")
+    q, n = abs(float(q)), r // 2
+    # the coefficients decay once (2k)^2 passes q: 20 rows past n and sqrt(q) suffice
+    k = np.arange(n + 20 + int(math.sqrt(q)))
+    if r % 2:  # 2 pi-periodic: (2k+1)^2, first entry 1 + q (cosines) or 1 - q (sines)
+        odd, first = (2.0 * k + 1.0) ** 2, np.where(k == 0, q, 0.0)
+        series = [(odd + first, q, n), (odd - first, q, n)]
+    else:  # pi-periodic: cosines (2k)^2, first coupling sqrt(2) q, and sines (2k+2)^2
+        series = [((2.0 * k) ** 2, math.sqrt(2.0) * q, n), ((2.0 * k + 2.0) ** 2, q, n - 1)]
+    edges = []
+    for diagonal, first_coupling, index in series:
+        matrix = np.diag(diagonal) + np.diag(np.full(k.size - 1, q), -1)
+        matrix[1, 0] = first_coupling
+        edges.append(float(np.linalg.eigvalsh(matrix)[index]))
+    return min(edges), max(edges)
 
 
 def _monodromy_matrices(
@@ -461,37 +480,3 @@ def stability_map(
         StabilityRow(float(a), float(b), float(tr), _classify(float(tr)), float(d), float(e))
         for a, b, tr, d, e in zip(p1f, p2f, traces, dets, defects)
     ]
-
-
-def bisect_stability_boundary(
-    make_system: Callable,
-    lo: float,
-    hi: float,
-    tol: float = 1e-3,
-    n_steps: int = 4096,
-) -> float:
-    """Locate a stability-boundary crossing of |trace| - 2 by bisection.
-
-    `make_system(p)` returns a HillSystem, whose monodromy takes `n_steps`
-    RK4 steps; lo and hi must bracket a sign change of |trace| - 2, and
-    0 < tol < inf.
-    """
-    if not (0 < tol < math.inf):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if not lo < hi:
-        raise ValueError(f"bracket must have lo < hi, got [{lo:g}, {hi:g}]")
-
-    def excess(p: float) -> float:
-        return abs(hill_monodromy(make_system(p), n_steps).trace) - 2.0
-
-    f_lo, f_hi = excess(lo), excess(hi)
-    if f_lo * f_hi > 0:
-        raise ValueError(f"no sign change in [{lo:g}, {hi:g}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = excess(mid)
-        if f_lo * f_mid <= 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)

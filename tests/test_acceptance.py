@@ -45,17 +45,16 @@ from fieldosc.tdfields import (
     HillSystem,
     RotatingField,
     accumulated_rotation,
-    bisect_stability_boundary,
     coriolis_elimination,
     corotating_reduction,
     frame_conjugation_defect,
     hill_monodromy,
-    mathieu_hill,
+    mathieu_tongue,
     rotation_ode,
 )
 from fieldosc.cli import main as cli_main
 
-from test_tdfields import monodromy_oracle
+from test_tdfields import mathieu_system, monodromy_oracle
 
 
 def report(name: str, passed: bool, detail: str) -> None:
@@ -313,13 +312,14 @@ class TestHillAnalysis:
         """det(monodromy) = 1 +/- 1e-8; constant-frequency trace matches
         2 cos(wT) to 1e-8; closed-form frame rotation matches direct ODE
         integration to 1e-6; the rotating-field conjugation identity holds
-        to 1e-10; the first Mathieu tongue edge at q = 0.1 is bracketed by
-        bisection to 1e-3 and confirmed by the brute-force oracle."""
+        to 1e-10; the lower edge of the first Mathieu tongue at q = 0.1,
+        the characteristic value b_1(0.1), has |trace| = 2 by the
+        brute-force oracle to 1e-6."""
         rng = np.random.default_rng(5)
         det_defect = 0.0
         for _ in range(10):
             a, q = float(rng.uniform(0.3, 3.0)), float(rng.uniform(-0.4, 0.4))
-            det_defect = max(det_defect, abs(hill_monodromy(mathieu_hill(a, q)).det - 1.0))
+            det_defect = max(det_defect, abs(hill_monodromy(mathieu_system(a, q)).det - 1.0))
 
         w0, period = 1.3, 2.0
         const = HillSystem(
@@ -335,8 +335,8 @@ class TestHillAnalysis:
         conj = max(frame_conjugation_defect(rot, t) for t in np.linspace(0.0, 7.0, 29))
 
         q = 0.1
-        edge = bisect_stability_boundary(lambda a: mathieu_hill(a, q), 0.7, 1.0, tol=1e-4)
-        oracle_trace = float(np.trace(monodromy_oracle(mathieu_hill(edge, q))))
+        edge = mathieu_tongue(q, 1)[0]
+        oracle_trace = float(np.trace(monodromy_oracle(mathieu_system(edge, q))))
         edge_defect = abs(abs(oracle_trace) - 2.0)
 
         ok = (
@@ -344,20 +344,20 @@ class TestHillAnalysis:
             and trace_defect <= 1e-8
             and case1_defect <= 1e-6
             and conj <= 1e-10
-            and edge_defect <= 5e-5
+            and edge_defect <= 1e-6
         )
         report(
             "hill-analysis",
             ok,
             f"det {det_defect:.1e} <= 1e-08, const-trace {trace_defect:.1e} <= 1e-08, "
             f"rotation-vs-ode {case1_defect:.1e} <= 1e-06, conjugation {conj:.1e} <= 1e-10, "
-            f"tongue edge {edge:.5f} oracle |trace|-2 = {edge_defect:.1e}",
+            f"tongue edge {edge:.5f} oracle |trace|-2 = {edge_defect:.1e} <= 1e-06",
         )
         assert det_defect <= 1e-8
         assert trace_defect <= 1e-8
         assert case1_defect <= 1e-6
         assert conj <= 1e-10
-        assert edge_defect <= 5e-5
+        assert edge_defect <= 1e-6
 
 
 class TestDeterminism:

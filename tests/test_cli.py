@@ -543,17 +543,6 @@ class TestMain:
             "cannot normalize a wavefunction of norm 0.0 on its grid)"
         )
 
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_sweep_step_count_is_a_usage_error(self, value):
-        script = Path(__file__).resolve().parents[1] / "scripts" / "mathieu_stability_sweep.py"
-        env = dict(os.environ, PYTHONPATH=str(Path(fieldosc.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, str(script), f"--n-steps={value}"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 2
-        assert "--n-steps" in proc.stderr and "Traceback" not in proc.stderr
-
     def test_duplicate_names_rejected(self, tmp_path, capsys):
         a = write(tmp_path, "a.cfg", "name = same\nmode = eigenstate-expansion\n")
         b = write(tmp_path, "b.cfg", "name = same\nmode = case2\n")

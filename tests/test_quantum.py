@@ -115,6 +115,14 @@ class TestEigenfunctions:
         with pytest.raises(ValueError):
             EigenLabel(-1, 0)
 
+    @pytest.mark.parametrize("n1, n2", [(0.5, 0.5), (1.5, 0), (1.0, 0), (0, 2.0), (True, 0)])
+    def test_rejects_non_integer_labels(self, n1, n2):
+        # (0.5, 0.5) used to give the energy 2.0 of no level, and n1 = 1.5
+        # a TypeError inside the Hermite table
+        with pytest.raises(ValueError, match="^quantum numbers must be integers >= 0"):
+            EigenLabel(n1, n2)
+        assert EigenLabel(np.int64(2), 0).n1 == 2
+
 
 class TestShiftExpansion:
     def test_degenerate_case(self):
@@ -888,6 +896,26 @@ class TestGridValidation:
         # then warned three times and failed on "amplitudes must be finite"
         with pytest.raises(ValueError, match="half_width"):
             Grid(dims=2, n=16, half_width=half_width)
+
+    @pytest.mark.parametrize(
+        "other",
+        [Grid(dims=1, n=128, half_width=8.0), Grid(dims=2, n=128, half_width=4.0)],
+        ids=["one-axis", "half-width"],
+    )
+    def test_states_on_different_grids_not_compared(self, other):
+        # a packet's distance to a 1-D packet of the same n used to
+        # broadcast to 3.56, and to one at half the width to read 1.36
+        grid = Grid(dims=2, n=128, half_width=8.0)
+        psi = gaussian_wavepacket(grid, (0.5, 0.0), (0.0, 0.0), 1.0)
+        phi = gaussian_wavepacket(other, (0.5, 0.0)[: other.dims], (0.0, 0.0)[: other.dims], 1.0)
+        for compare in (psi.distance, psi.inner):
+            with pytest.raises(ValueError, match="^states lie on different grids: Grid"):
+                compare(phi)
+
+    def test_states_at_different_hbar_compared(self):
+        grid = Grid(dims=1, n=64, half_width=8.0)
+        psi = gaussian_wavepacket(grid, (0.5,), (0.0,), 1.0)
+        assert psi.distance(dataclasses.replace(psi, hbar=2.0)) == 0.0
 
     @pytest.mark.parametrize("hbar", [0.0, math.inf, math.nan])
     def test_hbar_positive_and_finite(self, hbar):

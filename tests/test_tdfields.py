@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.special import mathieu_a, mathieu_b
 
 from fieldosc.core import OscParams, cross_matrix, rk4_steps, rotation_about_z
 from fieldosc.classical import (
@@ -23,14 +24,14 @@ from fieldosc.tdfields import (
     ReducedQuadraticHamiltonian,
     RotatingField,
     accumulated_rotation,
-    bisect_stability_boundary,
     coriolis_elimination,
     corotating_reduction,
     fixed_axis_hill,
     frame_conjugation_defect,
     h4_evaluator,
     hill_monodromy,
-    mathieu_hill,
+    mathieu_omega_sq,
+    mathieu_tongue,
     rotating_field_generator,
     rotation_ode,
     stability_map,
@@ -121,6 +122,10 @@ def reference_monodromy(omega_sq_values, period: float, n_steps: int) -> np.ndar
     )
 
 
+def mathieu_system(a: float, q: float) -> HillSystem:
+    return HillSystem(lambda t: mathieu_omega_sq(a, q, t), math.pi)
+
+
 def monodromy_oracle(sys: HillSystem) -> np.ndarray:
     """Brute-force monodromy via an adaptive high-order integrator."""
 
@@ -163,10 +168,14 @@ def test_fields_reject_bad_mass(mass):
         (3.0, 0, "steps must be an integer >= 1"),
         (3.0, 2.5, "steps must be an integer >= 1"),
         (3.0, 3.0, "steps must be an integer >= 1"),
+        (3.0, True, "steps must be an integer >= 1"),
         (math.nan, 5, "t must be finite"),
         (math.inf, 5, "t must be finite"),
     ],
-    ids=["negative-steps", "zero-steps", "fractional-steps", "float-steps", "nan", "inf"],
+    ids=[
+        "negative-steps", "zero-steps", "fractional-steps", "float-steps", "bool-steps", "nan",
+        "inf",
+    ],
 )
 def test_rotation_ode_checks_its_inputs(t, steps, message):
     # steps = -5 used to return the identity, steps = 0 to raise
@@ -515,16 +524,14 @@ class TestMonodromy:
     def test_n_steps_must_be_positive(self):
         # every entry point shares the check; -5 used to give trace 2.0 and
         # "marginal" everywhere, 0 a ZeroDivisionError, and 2.5 or 3.0 a
-        # TypeError from inside the RK4 loop
-        for n_steps in (0, -5, 2.5, 3.0):
+        # TypeError from inside the RK4 loop; True used to run one step
+        for n_steps in (0, -5, 2.5, 3.0, True):
             with pytest.raises(ValueError, match="^n_steps must be an integer >= 1"):
-                hill_monodromy(mathieu_hill(1.0, 0.1), n_steps)
+                hill_monodromy(mathieu_system(1.0, 0.1), n_steps)
             with pytest.raises(ValueError, match="^n_steps must be an integer >= 1"):
                 stability_map(
                     lambda a, q, t: a + 2.0 * q * np.cos(2.0 * t), math.pi, [1.0], [0.1], n_steps
                 )
-            with pytest.raises(ValueError, match="^n_steps must be an integer >= 1"):
-                bisect_stability_boundary(lambda a: mathieu_hill(a, 0.1), 0.7, 1.0, 1e-3, n_steps)
 
     def test_runaway_flagged_unstable(self):
         sys = HillSystem(
@@ -539,7 +546,7 @@ class TestMonodromy:
     )
     @settings(max_examples=20, deadline=None)
     def test_determinant_is_one(self, a, q):
-        rep = hill_monodromy(mathieu_hill(a, q), n_steps=1024)
+        rep = hill_monodromy(mathieu_system(a, q), n_steps=1024)
         assert abs(rep.det - 1.0) <= 1e-8
 
     def test_bit_identical_to_reference_loop(self):
@@ -552,7 +559,7 @@ class TestMonodromy:
         batch = _monodromy_matrices(lambda t: family(t[..., None]), math.pi, 1024)
         assert batch.shape == (189, 2, 2)
         assert np.array_equal(batch, reference_monodromy(family, math.pi, 1024))
-        sys = mathieu_hill(1.2, 0.25)
+        sys = mathieu_system(1.2, 0.25)
         rep = hill_monodromy(sys, n_steps=1024)
         assert np.array_equal(rep.matrix, reference_monodromy(sys.omega_sq_values, math.pi, 1024))
 
@@ -621,7 +628,7 @@ class TestMonodromy:
         assert math.isfinite(rows[1].trace) and rows[1].classification == "stable"
 
     def test_against_brute_force_oracle(self):
-        sys = mathieu_hill(0.9, 0.2)
+        sys = mathieu_system(0.9, 0.2)
         rep = hill_monodromy(sys)
         oracle = monodromy_oracle(sys)
         assert np.max(np.abs(rep.matrix - oracle)) <= 1e-7
@@ -629,48 +636,54 @@ class TestMonodromy:
 
 class TestMathieuStability:
     def test_small_q_away_from_resonance_is_stable(self):
-        assert hill_monodromy(mathieu_hill(0.5, 0.05)).classification == "stable"
-        assert hill_monodromy(mathieu_hill(2.3, 0.05)).classification == "stable"
+        assert hill_monodromy(mathieu_system(0.5, 0.05)).classification == "stable"
+        assert hill_monodromy(mathieu_system(2.3, 0.05)).classification == "stable"
 
     def test_inside_first_tongue_is_unstable(self):
-        assert hill_monodromy(mathieu_hill(1.0, 0.1)).classification == "unstable"
+        assert hill_monodromy(mathieu_system(1.0, 0.1)).classification == "unstable"
 
     def test_tongue_edges_located_and_cross_checked(self):
+        # the characteristic values b_r(q) and a_r(q) of the standard
+        # Mathieu equation; its q -> -q swaps a and b for odd r only
+        for r in range(1, 6):
+            for q in (-3.0, -0.1, 0.0, 0.1, 0.3, 3.0, 25.0):
+                lo, hi = mathieu_tongue(q, r)
+                expected = sorted((float(mathieu_b(r, q)), float(mathieu_a(r, q))))
+                assert lo <= hi
+                assert abs(lo - expected[0]) <= 1e-13 * abs(expected[0])
+                assert abs(hi - expected[1]) <= 1e-13 * abs(expected[1])
         q = 0.1
-        lo = bisect_stability_boundary(lambda a: mathieu_hill(a, q), 0.7, 1.0, tol=1e-6)
-        hi = bisect_stability_boundary(lambda a: mathieu_hill(a, q), 1.0, 1.3, tol=1e-6)
-        # perturbative edges a = 1 -+ q - q^2/8 + O(q^3)
-        assert abs(lo - (1.0 - q - q * q / 8.0)) <= 1e-3
-        assert abs(hi - (1.0 + q - q * q / 8.0)) <= 1e-3
-        for edge in (lo, hi):
-            trace = np.trace(monodromy_oracle(mathieu_hill(edge, q)))
+        for edge in mathieu_tongue(q, 1):
+            trace = np.trace(monodromy_oracle(mathieu_system(edge, q)))
             assert abs(abs(trace) - 2.0) <= 1e-6
 
-    def test_bisection_needs_a_sign_change(self):
-        # a = 0.3 and 0.5 both lie below the first tongue, where |trace| < 2
-        with pytest.raises(ValueError, match=r"no sign change in \[0.3, 0.5\]"):
-            bisect_stability_boundary(lambda a: mathieu_hill(a, 0.1), 0.3, 0.5, n_steps=256)
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 7])
+    def test_tongue_at_zero_q_and_negative_q(self, r):
+        assert mathieu_tongue(0.0, r) == (r * r, r * r)
+        for q in (0.1, 3.0):
+            assert mathieu_tongue(-q, r) == mathieu_tongue(q, r)
 
-    @pytest.mark.parametrize("lo, hi", [(1.0, 0.7), (0.85, 0.85), (math.nan, 1.0)])
-    def test_bisection_needs_an_ordered_bracket(self, lo, hi):
-        # [1.0, 0.7] used to return its unrefined midpoint 0.85: the
-        # bracket is refused before any monodromy runs
-        made = []
+    @pytest.mark.parametrize("r", [0, -1, 1.0, True])
+    def test_tongue_index_is_a_positive_integer(self, r):
+        with pytest.raises(ValueError, match="^r must be an integer >= 1"):
+            mathieu_tongue(0.1, r)
 
-        def make_system(a):
-            made.append(a)
-            return mathieu_hill(a, 0.1)
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_tongue_needs_a_finite_q(self, q):
+        with pytest.raises(ValueError, match="^q must be finite"):
+            mathieu_tongue(q, 1)
 
-        with pytest.raises(ValueError, match=r"^bracket must have lo < hi"):
-            bisect_stability_boundary(make_system, lo, hi, tol=1e-3, n_steps=256)
-        assert made == []
-
-    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
-    def test_bisection_needs_positive_finite_tol(self, tol):
-        # tol = nan used to return the bracket midpoint, and tol <= 0 to
-        # loop for ever
-        with pytest.raises(ValueError, match="tol"):
-            bisect_stability_boundary(lambda a: mathieu_hill(a, 0.1), 0.7, 1.0, tol=tol)
+    @pytest.mark.parametrize("n_steps", [256, 4096])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_rk4_classes_agree_with_exact_edges(self, r, n_steps):
+        # 1e-4 outside each edge is stable and 1e-4 inside is unstable,
+        # at the coarse 256 steps too: ||trace| - 2| reads 1.3e-4 to 1.7e-4
+        # at r = 1 and 2.8e-6 at r = 2 (at r = 3 only 1e-8 to 3e-8)
+        q = 0.3
+        lo, hi = mathieu_tongue(q, r)
+        for a, expected in ((lo - 1e-4, "stable"), (lo + 1e-4, "unstable"),
+                            (hi - 1e-4, "unstable"), (hi + 1e-4, "stable")):
+            assert hill_monodromy(mathieu_system(a, q), n_steps).classification == expected
 
     def test_stability_map_constant_row(self):
         a_values = np.array([0.3, 0.7, 1.44, 2.1])
@@ -711,7 +724,7 @@ class TestMathieuStability:
             n_steps=n,
         )
         zero = [r for r in rows if r.param2 == 0.0]
-        reps = [hill_monodromy(mathieu_hill(r.param1, 0.0), n_steps=n) for r in zero]
+        reps = [hill_monodromy(mathieu_system(r.param1, 0.0), n_steps=n) for r in zero]
         assert len(zero) == 7 and zero[-1].trace == math.inf
         for row, rep in zip(zero, reps):
             assert row.trace == rep.trace
